@@ -1,124 +1,21 @@
 #!/bin/sh
 # ci.sh — the repo's gate, in the order a failure is cheapest to catch:
-# vet, build, the full test suite under the race detector, a dedicated
-# lock-contention stress pass, then a single-shot benchmark smoke run so
-# the bench harness itself can't rot. Every `go test` carries an
-# explicit -timeout: a lock-protocol bug shows up as a hang, and the
-# watchdog turns that into a failure with goroutine dumps instead of a
-# stuck CI job.
+# vet, build, the whole suite under the race detector, the whole suite
+# again in shuffled order, the exact allocation bounds without the race
+# detector, then one pass over every benchmark so none of them rot.
+# Every `go test` carries an explicit -timeout: a lock-protocol bug
+# shows up as a hang, and the watchdog turns that into a failure with
+# goroutine dumps instead of a stuck CI job.
 set -eux
 
 go vet ./...
 go build ./...
-go test -race -timeout 120s ./...
-# The same unit suite with shuffled test order: state leaking between
-# tests (shared rigs, package globals, leftover files) shows up as an
-# order dependence long before it shows up as a flake.
-go test -shuffle=on -timeout 120s ./...
-# Lock-contention stress: concurrent sieving writers and atomic-mode
-# writers hammering overlapping byte ranges, repeated under -race with a
-# tight deadlock watchdog (see DESIGN.md §9).
-go test -race -timeout 60s -count 3 \
-	-run 'TestConcurrentSieveWriters|TestAtomicModeOverlappingWriters' ./internal/mpiio/
-go test -race -timeout 60s \
-	-run 'TestLockContentionVerified|TestLockProtocol|TestLockDisconnectReleases|TestLockLease' \
-	./internal/bench/ ./internal/pvfs/
-# Disk-scheduler pass: planner/charge unit tests and the cross-variant
-# byte-identity matrix under -race, then the pr3 smoke run, which exits
-# nonzero unless the scheduler collapses the tile reader's dtype/list
-# runs into fewer dispatched ops AND beats the NoDiskSched ablation.
-go test -race -timeout 60s \
-	-run 'TestPlanBatch|TestPlanStream|TestCharge|TestNoSort|TestSchedRoundTripVariants|TestSchedVariantsVerified|TestZeroByteRequestsChargeNoDisk|TestDiskSchedCollapsesTileDtypeOps' \
-	./internal/bench/ ./internal/pvfs/
-go run ./cmd/dtbench -exp pr3-smoke
-# Fault-injection pass: deterministic injector unit tests, the pvfs
-# end-to-end recovery suite (loss, dedup, stream resume, stall, crash,
-# lease reclaim), and the bench-level determinism/parity checks, all
-# under -race; then the pr4 smoke run, which exits nonzero unless clean
-# cells show zero faults and the loss/crash cells actually exercised
-# retries, replay, and failover with verified bytes.
-go test -race -timeout 120s \
-	-run 'TestSameSeedSameSchedule|TestRatesApproximateProbabilities|TestPlanLive|TestWrapNetworkFilter|TestWrapConnDupAndReset|TestRetryUnderLoss|TestWriteDedupSuppressesReplay|TestStreamedWriteResumeAfterCrash|TestRetryAfterStall|TestCrashRestartClientRecovers|TestAdminOverWire|TestLeaseReclaimedOnClientDeath|TestFault' \
-	./internal/fault/ ./internal/pvfs/ ./internal/bench/
-go run ./cmd/dtbench -exp pr4-smoke
-go test -timeout 120s -run 'XXX' -bench 'BenchmarkTileRead/dtype' -benchtime 1x -benchmem .
-# Observability pass: histogram/tracer unit tests, the end-to-end span
-# linkage and tracing-is-passive suites, and the hot-path allocation
-# bounds (plain and metrics-enabled) under -race; then the pr5 smoke
-# run, which exits nonzero unless every method reports populated
-# monotone latency quantiles and the dtype trace's server spans resolve
-# to client op spans in valid Chrome JSON.
-go test -race -timeout 120s \
-	-run 'TestHistogram|TestQuantiles|TestRegistry|TestCounter|TestDebugMux|TestTracer|TestSpan|TestWriteChrome|TestConcurrent|TestFetchStats|TestClientServerSpanLink|TestLockWaitSpan|TestTracedRunLinksServerSpansToClientOps|TestResultLatencyHistograms|TestTracingDoesNotChangeTiming|TestTagSpanRoundTrip' \
-	./internal/metrics/ ./internal/trace/ ./internal/wire/ ./internal/pvfs/ ./internal/bench/
-go test -timeout 60s -run 'TestServerReadHotPathAllocs' ./internal/pvfs/
-go run ./cmd/dtbench -exp pr5-smoke
-# Cache-coherence pass: rangeset/store unit tests, the lock-manager
-# revocation invariants, and the pvfs end-to-end coherence edges — two
-# clients ping-ponging one chunk, a reader pulling dirty data out of a
-# writer's cache, lease expiry flushing before the lease is lost, and a
-# dirty cache surviving a server crash-restart — all under -race; then
-# the pr6 smoke run, which exits nonzero unless the cached posix tile
-# write sends < 5% of the uncached run's wire ops with a byte-identical
-# flushed image and re-reads hit >= 90% in cache.
-go test -race -timeout 120s \
-	-run 'TestRangeSet|TestChunk|TestStore|TestRevocation|TestSharedLeasesRevokedTogether|TestCacheAggregation|TestCacheReadHits|TestCacheCoherence|TestCacheWriterObservedByReader|TestCacheSelfConflict|TestCacheLeaseExpiryFlush|TestCacheFlushAcrossCrash|TestCacheEvictionWriteback|TestCacheMixedPaths|TestReReadHitRatio|TestReWriteAbsorbed|TestCacheContentionCoherent|TestCachedTileWriteAggregates' \
-	./internal/cache/ ./internal/locks/ ./internal/pvfs/ ./internal/bench/
-go run ./cmd/dtbench -exp pr6-smoke
-# Sharded-control-plane pass: the shard directory unit tests, wire
-# round-trips for every message (table-driven + testing/quick), the
-# sharded pvfs suite (partitioned namespace, misroute refusal, per-shard
-# FIFO fairness and lease reclaim, cross-shard cache coherence), all
-# under -race; then the pr7 smoke run, which exits nonzero unless
-# metadata/lock throughput scales >= 1.5x from 1 to 4 shards and the
-# byte-identity digest is equal across shard counts.
-go test -race -timeout 120s \
-	-run 'TestSingleShardDegenerate|TestHandleSequencesPartition|TestOfName|TestRendezvousStability|TestMapAccessors|TestRoundTrip|TestShard' \
-	./internal/shard/ ./internal/wire/ ./internal/pvfs/
-go run ./cmd/dtbench -exp pr7-smoke
-# Real-disk fast-path pass: the flatten compiler's table/quick property
-# suites (compiled replay byte-identical to the interpreted iterator),
-# vectored-store round-trip/EOF/chunking semantics, the scheduler's
-# vectored byte-identity matrix and minimum-run floor, and loop-cache
-# eviction/stats/concurrent-replay invariants, all under -race; the
-# server hot-path allocation bounds for reads and writes (race-free so
-# the counts are exact); a single-shot pass over every benchmark so
-# none of them rot; then the pr8 smoke run, which brings up real TCP
-# daemons on file-backed objects and exits nonzero unless all four
-# compiled/vectored cells produce byte-identical digests and the
-# replay/vec-op counters prove which path served each cell.
-go test -race -timeout 120s \
-	-run 'TestReplayMatchesIter|TestCompile|TestReplayResizedInstanceSpacing|TestEOFAndHoleSemantics|TestVectored|TestPropertyMemMatchesFlatBuffer|TestVecMinRunFloor|TestLoopCache|TestCompiledCacheConcurrentReplay' \
-	./internal/flatten/ ./internal/storage/ ./internal/pvfs/
-go test -timeout 60s -run 'TestServerReadHotPathAllocs|TestServerWriteHotPathAllocs' ./internal/pvfs/
-go test -timeout 300s -run 'XXX' -bench . -benchtime 1x ./...
-go run ./cmd/dtbench -exp pr8-smoke
-# Replication pass: the replica placement/picker unit suite (k=1
-# identity, striping-piece→group mapping, membership stability under
-# kill, picker uniformity), the replicated pvfs end-to-end suite
-# (fan-out round-trip, transparent read failover, writes with a dead
-# member, kill-wipes-unreplicated-data, admin kill over the wire), all
-# under -race; then the pr9 smoke run, which exits nonzero unless
-# killed k>=2 cells reproduce the healthy digest bit-for-bit with
-# degraded-read/repair/fan-out counters proving the path, the k=1 kill
-# observably loses data, read balance stays within bounds, and the
-# k=1-vs-unset parity is exact.
-go test -race -timeout 120s \
-	-run 'TestMapK1Identity|TestMapRoundTrip|TestStripingPieceToGroupMapping|TestMembershipStableUnderKill|TestRendezvousDeterministicAndUniform|TestLeastLoaded|TestReplicated|TestKillWipesUnreplicatedData|TestAdminKillOverWire' \
-	./internal/replica/ ./internal/pvfs/
-go run ./cmd/dtbench -exp pr9-smoke
-# Observability-always-on pass (PR10): flight-recorder unit suite and
-# the wire/SIGQUIT/post-mortem dump paths under -race, the alloc bound
-# with the ring armed (race-free so the count is exact), tail-sampling
-# retention invariants, the health aggregator's detect latencies
-# (degrade within one interval, stall within four) with the picker
-# shift asserted, and the Prometheus naming lint over the daemons' real
-# registries; then the pr10 smoke run, which exits nonzero unless the
-# observed probe still answers, injected degrade/stall are flagged on
-# schedule with reads shifted off the victim, and a killed server's
-# post-mortem carries its final events.
-go test -race -timeout 120s \
-	-run 'TestRing|TestDump|TestFlight|TestTail|TestAdaptiveThreshold|TestHealth|TestClusterSnapshot|TestFetchCluster|TestLintName|TestRegistryLint|TestPrometheus' \
-	./internal/flightrec/ ./internal/trace/ ./internal/metrics/ ./internal/pvfs/ ./internal/bench/
-go test -timeout 60s -run 'TestServerReadHotPathAllocsWithFlight' ./internal/pvfs/
-go run ./cmd/dtbench -exp pr10-smoke
+go test -race -timeout 300s ./...
+# Shuffled order: state leaking between tests (shared rigs, package
+# globals, leftover files) shows up as an order dependence long before
+# it shows up as a flake.
+go test -shuffle=on -timeout 300s ./...
+# The race detector instruments allocations, so the hot-path and
+# alloc-free bounds are only exact without it.
+go test -count 1 -timeout 120s -run Alloc ./...
+go test -timeout 300s -run XXX -bench . -benchtime 1x ./...

@@ -4,7 +4,8 @@
 //
 // Usage:
 //
-//	dtbench -exp tile|block3d|flash|ablate-listcap|ablate-coalesce|ablate-sievebuf|all
+//	dtbench -exp tile|block3d|flash|ablate-listcap|ablate-coalesce|ablate-sievebuf|ablate-loopcache|ablate-fullfeatured|all
+//	dtbench -exp list
 //
 // Everything runs in virtual time; reported MB/s are deterministic.
 package main
@@ -24,14 +25,11 @@ import (
 
 var (
 	expFlag    = flag.String("exp", "all", "experiment to run; `list` prints the catalog")
-	jsonFlag   = flag.String("json", "", "pr1-pr6: output path for the machine-readable report (default BENCH_PR<n>.json)")
-	traceFlag  = flag.String("trace", "", "pr5: output path for the Chrome trace-event JSON (default TRACE_PR5.json)")
 	frames     = flag.Int("frames", 3, "tile: frames per timed run")
 	flashProcs = flag.String("flash-procs", "2,8,16,32,48,64,96,128", "flash: client counts")
 	b3Procs    = flag.String("block3d-procs", "8,27,64", "block3d: client counts (perfect cubes)")
 	noPosix    = flag.Bool("no-posix", false, "skip POSIX runs (they are slow by design)")
 	verify     = flag.Bool("verify", false, "verify data (slower; uses real storage)")
-	cacheSize  = flag.Int64("cachesize", 4<<20, "pr6: per-client extent cache budget in bytes")
 )
 
 // experiment is one catalog entry. The catalog drives both dispatch and
@@ -54,24 +52,6 @@ func experiments() []experiment {
 		{"ablate-sievebuf", "A3: data sieving buffer size sweep", ablateSieveBuf},
 		{"ablate-loopcache", "A4: server-side dataloop cache (paper §5)", ablateLoopCache},
 		{"ablate-fullfeatured", "A5: full-featured datatype I/O prediction", ablateFullFeatured},
-		{"pr1", "streamed transfers report (BENCH_PR1.json)", func() { runPR1(jsonPath("BENCH_PR1.json")) }},
-		{"pr2", "byte-range locks / atomic mode report (BENCH_PR2.json)", func() { runPR2(jsonPath("BENCH_PR2.json")) }},
-		{"pr3", "disk scheduler report (BENCH_PR3.json)", func() { runPR3(jsonPath("BENCH_PR3.json"), false) }},
-		{"pr3-smoke", "pr3 quick CI gate (no JSON)", func() { runPR3("", true) }},
-		{"pr4", "fault injection + recovery report (BENCH_PR4.json)", func() { runPR4(jsonPath("BENCH_PR4.json"), false) }},
-		{"pr4-smoke", "pr4 quick CI gate (no JSON)", func() { runPR4("", true) }},
-		{"pr5", "observability report (BENCH_PR5.json + TRACE_PR5.json)", func() { runPR5(jsonPath("BENCH_PR5.json"), tracePath("TRACE_PR5.json"), false) }},
-		{"pr5-smoke", "pr5 quick CI gate (no JSON)", func() { runPR5("", "", true) }},
-		{"pr6", "client extent cache report (BENCH_PR6.json)", func() { runPR6(jsonPath("BENCH_PR6.json"), false) }},
-		{"pr6-smoke", "pr6 quick CI gate (no JSON)", func() { runPR6("", true) }},
-		{"pr7", "sharded control plane scaling report (BENCH_PR7.json)", func() { runPR7(jsonPath("BENCH_PR7.json"), false) }},
-		{"pr7-smoke", "pr7 quick CI gate (no JSON)", func() { runPR7("", true) }},
-		{"pr8", "compiled+vectored real-disk hot path report (BENCH_PR8.json)", func() { runPR8(jsonPath("BENCH_PR8.json"), false) }},
-		{"pr8-smoke", "pr8 quick CI gate (no JSON)", func() { runPR8("", true) }},
-		{"pr9", "replica groups / kill-failover report (BENCH_PR9.json)", func() { runPR9(jsonPath("BENCH_PR9.json"), false) }},
-		{"pr9-smoke", "pr9 quick CI gate (no JSON)", func() { runPR9("", true) }},
-		{"pr10", "flight recorder / tail tracing / straggler detection report (BENCH_PR10.json)", func() { runPR10(jsonPath("BENCH_PR10.json"), false) }},
-		{"pr10-smoke", "pr10 quick CI gate (no JSON)", func() { runPR10("", true) }},
 		{"all", "E1-E3 plus every ablation", func() {
 			runTile()
 			runBlock3D()
@@ -109,20 +89,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "dtbench: unknown experiment %q\n", *expFlag)
 	listExperiments(os.Stderr)
 	os.Exit(2)
-}
-
-func jsonPath(dflt string) string {
-	if *jsonFlag != "" {
-		return *jsonFlag
-	}
-	return dflt
-}
-
-func tracePath(dflt string) string {
-	if *traceFlag != "" {
-		return *traceFlag
-	}
-	return dflt
 }
 
 func cfg(clients, procsPerNode int) bench.Config {

@@ -52,12 +52,6 @@ func main() {
 	dataDir := flag.String("data", "", "directory for object files (empty: in-memory)")
 	sieveGap := flag.Int64("sievegap", pvfs.DefaultSieveGapBytes,
 		"disk scheduler read gap-merge threshold in bytes (0: merge adjacent runs only)")
-	noSched := flag.Bool("nodisksched", false,
-		"dispatch each request's physical runs in arrival order, uncoalesced")
-	noCompile := flag.Bool("nocompile", false,
-		"expand datatype views with the interpreted dataloop walk (skip compiled programs)")
-	noVector := flag.Bool("novector", false,
-		"stage coalesced disk operations through a scratch copy and a single scalar syscall (no preadv/pwritev)")
 	httpAddr := flag.String("http", "", "debug listener address (/metrics, /healthz, /debug/pprof); empty: off")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON here on SIGINT/SIGTERM; empty: off")
 	peers := flag.String("peers", "", "comma-separated addresses of this server's replica group siblings; empty: unreplicated")
@@ -74,9 +68,6 @@ func main() {
 	}
 	s := pvfs.NewServer(transport.NewTCPNetwork(), *addr, *index, pvfs.CostModel{})
 	s.SieveGapBytes = *sieveGap
-	s.DisableDiskSched = *noSched
-	s.DisableCompiledLoops = *noCompile
-	s.DisableVectoredIO = *noVector
 	s.Stats = &iostats.Stats{}
 	s.Metrics = &pvfs.ServerMetrics{}
 	if *peers != "" {

@@ -73,16 +73,14 @@ func TestCacheContentionCoherent(t *testing.T) {
 	}
 }
 
-// TestCachedTileWriteAggregates: the cached posix tile write produces
-// the same image as the uncached one while sending a small fraction of
-// its wire messages — the PR6 headline.
+// TestCachedTileWriteAggregates: on the paper's full-size tile, the
+// cached posix write produces the same verified image as the uncached
+// one while sending under 5% of its wire messages — the extent cache's
+// headline. (A scaled-down frame has a floor of a few messages per
+// client, which a 5% bound cannot tell from a broken cache.)
 func TestCachedTileWriteAggregates(t *testing.T) {
-	tile := workloads.TileConfig{
-		TilesX: 3, TilesY: 2, TileW: 32, TileH: 24, Depth: 3,
-		OverlapX: 8, OverlapY: 4, Frames: 1,
-	}
+	tile := workloads.DefaultTile()
 	base := DefaultConfig(tile.NumClients(), 1)
-	base.Servers = 4
 	base.Discard = false
 	base.Verify = true
 
@@ -92,13 +90,16 @@ func TestCachedTileWriteAggregates(t *testing.T) {
 	}
 	cfg := base
 	cfg.CacheBytes = 4 << 20
-	cfg.CacheChunkBytes = 64 * 1024
+	// Row-major tile writes never revisit an extent, so large chunks
+	// aggregate maximally: each surrender writes back megabytes of
+	// sorted runs in one list request per server.
+	cfg.CacheChunkBytes = 4 << 20
 	cached := TileWrite(cfg, tile, mpiio.Posix, 1)
 	if cached.Err != nil {
 		t.Fatal(cached.Err)
 	}
-	if cached.PerClient.WireMsgs*4 >= uncached.PerClient.WireMsgs {
-		t.Fatalf("cached posix tile write: %d wire msgs/client, uncached %d — no collapse",
+	if cached.PerClient.WireMsgs*20 > uncached.PerClient.WireMsgs {
+		t.Fatalf("cached posix tile write: %d wire msgs/client, uncached %d — over 5%%",
 			cached.PerClient.WireMsgs, uncached.PerClient.WireMsgs)
 	}
 	if cached.PerClient.CacheHits == 0 || cached.PerClient.FlushOps == 0 {

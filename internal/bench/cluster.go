@@ -7,14 +7,12 @@ package bench
 
 import (
 	"fmt"
-	"hash/fnv"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dtio/internal/fault"
-	"dtio/internal/flightrec"
 	"dtio/internal/iostats"
 	"dtio/internal/locks"
 	"dtio/internal/metrics"
@@ -64,14 +62,6 @@ type Config struct {
 	// future-work extension). Off by default so headline numbers match
 	// the paper's prototype, which decodes per request.
 	LoopCache bool
-	// NoStreaming disables pipelined (flow-controlled) transfers on both
-	// servers and clients, restoring store-and-forward I/O: the ablation
-	// that isolates the disk/network overlap win.
-	NoStreaming bool
-	// NoDiskSched disables the servers' disk scheduler: each request's
-	// physical runs dispatch in arrival order with no coalescing (the
-	// ablation that isolates the scheduling win; DESIGN.md §10).
-	NoDiskSched bool
 	// SieveGapBytes is the disk scheduler's read gap-merge threshold.
 	// Zero means adjacency-only merging; DefaultConfig sets
 	// pvfs.DefaultSieveGapBytes.
@@ -113,19 +103,6 @@ type Config struct {
 	// least-loaded read picker so reads shift away from a straggler
 	// within one interval. 0 disables it.
 	HealthInterval time.Duration
-	// FlightEvents, when positive, gives every I/O server a flight
-	// recorder retaining the last N request completions (DESIGN.md
-	// §17), so crash/kill events capture a post-mortem
-	// (Cluster.PostMortem). 0 runs without recorders, byte-identical to
-	// a pre-flightrec cluster.
-	FlightEvents int
-	// DigestFile, when non-empty, names a file to hash after every rank
-	// has finished (still inside the simulation, before the servers shut
-	// down): a fresh client reads it contiguously and folds every byte
-	// into an FNV-1a digest, retrievable with Cluster.Digest. Requires
-	// Discard to be false. Replication experiments compare this digest
-	// across healthy and killed-server runs.
-	DigestFile string
 }
 
 // DefaultConfig is the paper's testbed: 16 I/O servers, 64 KiB strips,
@@ -224,17 +201,7 @@ type Result struct {
 	// servers. Quantiles() on either yields p50/p95/p99.
 	Lat    metrics.HistSnapshot
 	SrvLat metrics.HistSnapshot
-	// Digest is the post-run file hash requested with Config.DigestFile
-	// (0 when unused); DigestErr is any error the digest read hit, kept
-	// separate from Err so a workload failure doesn't mask whether the
-	// bytes were reachable.
-	Digest    uint64
-	DigestErr error
-	// PhaseStart is when the timed phase began, in virtual time since
-	// the simulation started; with Elapsed it locates the timed window,
-	// which fault schedules are calibrated against.
-	PhaseStart time.Duration
-	Err        error
+	Err    error
 }
 
 // BandwidthMBs reports aggregate bandwidth in MB/s (10^6 bytes, as the
@@ -269,10 +236,6 @@ type Cluster struct {
 	totals           iostats.Snapshot
 	errs             []error
 
-	digest      uint64
-	digestBytes int64
-	digestErr   error
-
 	inj *fault.Injector // nil when cfg.Fault is not live
 
 	// Health aggregator state (cfg.HealthInterval > 0; DESIGN.md §17).
@@ -282,7 +245,6 @@ type Cluster struct {
 	healthTicks int
 	flaggedAt   []time.Duration // virtual time first flagged straggler; -1 never
 	stragRuns   []int           // consecutive straggler ticks, for debounce
-	lastHealth  []pvfs.ServerHealth
 }
 
 // NewCluster builds the simulated cluster: server nodes first (their
@@ -361,15 +323,10 @@ func NewCluster(cfg Config) *Cluster {
 		// Streamed transfers segment at the modeled NIC's flow-control
 		// chunk size, as real PVFS flow buffers do.
 		srv.StreamChunkBytes = cfg.SimCfg.ChunkBytes
-		srv.DisableStreaming = cfg.NoStreaming
-		srv.DisableDiskSched = cfg.NoDiskSched
 		srv.SieveGapBytes = cfg.SieveGapBytes
 		srv.Stats = c.diskStats
 		srv.Tracer = cfg.Trace
 		srv.Metrics = &pvfs.ServerMetrics{}
-		if cfg.FlightEvents > 0 {
-			srv.Flight = flightrec.New(cfg.FlightEvents)
-		}
 		c.srvMetrics = append(c.srvMetrics, srv.Metrics)
 		if cfg.Discard {
 			srv.NewStore = func(uint64) storage.Store { return storage.NewDiscard() }
@@ -477,7 +434,6 @@ func (c *Cluster) Run(fn func(r *Rank) error) (time.Duration, iostats.Snapshot, 
 				c.healthMu.Unlock()
 			}
 			fs.StreamChunkBytes = c.cfg.SimCfg.ChunkBytes
-			fs.DisableStreaming = c.cfg.NoStreaming
 			fs.Tracer = c.cfg.Trace
 			fs.TraceTrack = fmt.Sprintf("rank%d", id)
 			fs.OpLat = c.opLats[id]
@@ -500,12 +456,6 @@ func (c *Cluster) Run(fn func(r *Rank) error) (time.Duration, iostats.Snapshot, 
 	c.net.Spawn("controller", c.rankNodes[0], func(env transport.Env) {
 		wg.Wait(env.(*transport.SimEnv).Proc())
 		c.healthStop.Store(true) // aggregator exits at its next tick
-		if c.cfg.DigestFile != "" {
-			// Hash over the plain network (no injected message faults —
-			// the scheduled server events have already fired), with
-			// retries so a still-restarting member can't wedge the read.
-			c.digest, c.digestBytes, c.digestErr = c.digestFile(env, retry)
-		}
 		c.fabric.Close()
 		for _, m := range c.metas {
 			m.Close()
@@ -531,103 +481,6 @@ func (c *Cluster) Run(fn func(r *Rank) error) (time.Duration, iostats.Snapshot, 
 	return c.winEnd - c.winStart, agg.Div(int64(c.cfg.Clients)), nil
 }
 
-// digestFile reads cfg.DigestFile end to end and folds it into an
-// FNV-1a hash. Runs inside the simulation, after every rank is done.
-func (c *Cluster) digestFile(env transport.Env, retry pvfs.RetryPolicy) (uint64, int64, error) {
-	fs := pvfs.NewShardedClient(c.net, c.metaAddrs, c.addrs, c.cfg.Cost)
-	fs.Replicas = c.cfg.Replicas
-	fs.Retry = retry
-	defer fs.Close()
-	f, err := fs.Open(env, c.cfg.DigestFile)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bench: digest open %s: %w", c.cfg.DigestFile, err)
-	}
-	size, err := f.Size(env)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bench: digest size %s: %w", c.cfg.DigestFile, err)
-	}
-	h := fnv.New64a()
-	buf := make([]byte, 1<<20)
-	for off := int64(0); off < size; {
-		n := int64(len(buf))
-		if off+n > size {
-			n = size - off
-		}
-		if err := f.ReadContig(env, off, buf[:n]); err != nil {
-			return 0, 0, fmt.Errorf("bench: digest read %s@%d: %w", c.cfg.DigestFile, off, err)
-		}
-		h.Write(buf[:n])
-		off += n
-	}
-	// DTIO_DEBUG_REPLICAS=1 cross-checks every group member's copy of
-	// the digest file and logs divergent chunks to stderr — the tool of
-	// choice when a replicated run's digest disagrees with its healthy
-	// twin and you need to know which member holds the bad bytes.
-	if os.Getenv("DTIO_DEBUG_REPLICAS") != "" && c.cfg.Replicas > 1 {
-		c.debugMemberDigests(env, retry, size)
-	}
-	return h.Sum64(), size, nil
-}
-
-// fixedPick is a debug picker that always prefers one member slot.
-type fixedPick int
-
-func (p fixedPick) Pick(handle uint64, off int64, group, k int) int { return int(p) % k }
-
-// debugMemberDigests re-reads the digest file forcing each member slot
-// in turn and logs per-64KiB-chunk mismatches against slot 0.
-func (c *Cluster) debugMemberDigests(env transport.Env, retry pvfs.RetryPolicy, size int64) {
-	per := make([][]uint64, c.cfg.Replicas)
-	for j := 0; j < c.cfg.Replicas; j++ {
-		fs := pvfs.NewShardedClient(c.net, c.metaAddrs, c.addrs, c.cfg.Cost)
-		fs.Replicas = c.cfg.Replicas
-		fs.Retry = retry
-		fs.ReplicaPicker = fixedPick(j)
-		f, err := fs.Open(env, c.cfg.DigestFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "debug member %d: open: %v\n", j, err)
-			fs.Close()
-			continue
-		}
-		buf := make([]byte, 64<<10)
-		for off := int64(0); off < size; off += int64(len(buf)) {
-			n := int64(len(buf))
-			if off+n > size {
-				n = size - off
-			}
-			if err := f.ReadContig(env, off, buf[:n]); err != nil {
-				fmt.Fprintf(os.Stderr, "debug member %d: read@%d: %v\n", j, off, err)
-				break
-			}
-			h := fnv.New64a()
-			h.Write(buf[:n])
-			per[j] = append(per[j], h.Sum64())
-		}
-		fs.Close()
-	}
-	for j := 1; j < c.cfg.Replicas; j++ {
-		for i := range per[0] {
-			if i < len(per[j]) && per[j][i] != per[0][i] {
-				fmt.Fprintf(os.Stderr, "debug: chunk@%d (64KiB) differs: member0 %016x member%d %016x\n",
-					int64(i)*64<<10, per[0][i], j, per[j][i])
-			}
-		}
-	}
-}
-
-// Digest reports the post-run file digest requested with
-// Config.DigestFile (call after Run): the FNV-1a hash of the file's
-// bytes, the byte count hashed, and any error the digest read hit.
-func (c *Cluster) Digest() (uint64, int64, error) {
-	return c.digest, c.digestBytes, c.digestErr
-}
-
-// PhaseWindow reports the timed window recorded by TimePhase, as
-// virtual times since the simulation started. Call after Run.
-func (c *Cluster) PhaseWindow() (start, end time.Duration) {
-	return c.winStart, c.winEnd
-}
-
 // TotalStats is the undivided sum of every rank's lifetime counters
 // over the whole run, setup included (call after Run).
 func (c *Cluster) TotalStats() iostats.Snapshot { return c.totals }
@@ -649,16 +502,6 @@ func (c *Cluster) ShardLockStats() []locks.Stats {
 	out := make([]locks.Stats, len(c.metas))
 	for i, m := range c.metas {
 		out[i] = m.LockStats()
-	}
-	return out
-}
-
-// MetaSnapshots captures each metadata shard's namespace and lock-table
-// snapshot, in shard-id order (call after Run).
-func (c *Cluster) MetaSnapshots() []pvfs.MetaSnapshot {
-	out := make([]pvfs.MetaSnapshot, len(c.metas))
-	for i, m := range c.metas {
-		out[i] = m.Snapshot()
 	}
 	return out
 }
@@ -699,17 +542,6 @@ func (c *Cluster) ServerReadCounts() []int64 {
 	return out
 }
 
-// Repairing reports which servers are currently rebuilding their
-// objects from replica peers (call after Run it is all false; useful
-// mid-run from controller code).
-func (c *Cluster) Repairing() []bool {
-	out := make([]bool, len(c.servers))
-	for i, s := range c.servers {
-		out[i] = s.StatsSnapshot().Repairing
-	}
-	return out
-}
-
 // healthTick scores one aggregation interval: each server's service
 // histogram is windowed against the previous tick (HistSnapshot.Sub),
 // the window's p99 plus live queue depth and degrade/repair state fold
@@ -737,7 +569,6 @@ func (c *Cluster) healthTick(now time.Duration, prev []metrics.HistSnapshot) {
 	}
 	c.healthMu.Lock()
 	c.healthTicks++
-	c.lastHealth = cs.Health
 	for _, h := range cs.Health {
 		// Server-reported states (degraded disk, live repair) are
 		// noise-free and flag on their first tick; statistical evidence
@@ -784,34 +615,6 @@ func (c *Cluster) StragglerFlaggedAt(server int) (time.Duration, bool) {
 		return 0, false
 	}
 	return c.flaggedAt[server], true
-}
-
-// PostMortem returns server i's flight-recorder dump captured at its
-// last crash or kill, and whether one exists (requires
-// Config.FlightEvents > 0 and the server to have died). Call after
-// Run.
-func (c *Cluster) PostMortem(server int) (flightrec.Dump, bool) {
-	if server < 0 || server >= len(c.servers) {
-		return flightrec.Dump{}, false
-	}
-	return c.servers[server].PostMortem()
-}
-
-// LastHealth returns the most recent health table (nil before the
-// first tick).
-func (c *Cluster) LastHealth() []pvfs.ServerHealth {
-	c.healthMu.Lock()
-	defer c.healthMu.Unlock()
-	return c.lastHealth
-}
-
-// ServerReplays sums the servers' replay-suppression counters.
-func (c *Cluster) ServerReplays() int64 {
-	var n int64
-	for _, m := range c.srvMetrics {
-		n += m.Replays.Value()
-	}
-	return n
 }
 
 // FaultStats reports what the injector actually did over the run (all

@@ -88,8 +88,6 @@ func TileRead(cfg Config, tile workloads.TileConfig, method mpiio.Method, frames
 	res.Fault = cl.FaultStats()
 	res.Total = cl.TotalStats()
 	res.Locks = cl.LockStats()
-	res.Digest, _, res.DigestErr = cl.Digest()
-	res.PhaseStart, _ = cl.PhaseWindow()
 	res.Bytes = int64(tile.NumClients()) * int64(frames) * tileBytes
 	res.Err = err
 	// Tables report per-frame characteristics, as the paper does.
@@ -197,8 +195,6 @@ func TileWrite(cfg Config, tile workloads.TileConfig, method mpiio.Method, frame
 	res.Fault = cl.FaultStats()
 	res.Total = cl.TotalStats()
 	res.Locks = cl.LockStats()
-	res.Digest, _, res.DigestErr = cl.Digest()
-	res.PhaseStart, _ = cl.PhaseWindow()
 	res.Bytes = int64(tile.NumClients()) * int64(frames) * tileBytes
 	res.Err = err
 	// Tables report per-frame characteristics, as the paper does.
@@ -394,8 +390,6 @@ func Block3D(cfg Config, b3 workloads.Block3DConfig, method mpiio.Method, write 
 	res.Fault = cl.FaultStats()
 	res.Total = cl.TotalStats()
 	res.Locks = cl.LockStats()
-	res.Digest, _, res.DigestErr = cl.Digest()
-	res.PhaseStart, _ = cl.PhaseWindow()
 	res.Bytes = int64(b3.Procs) * blockBytes
 	res.Err = err
 	return res
@@ -463,8 +457,6 @@ func Flash(cfg Config, fc workloads.FlashConfig, method mpiio.Method) Result {
 	res.Fault = cl.FaultStats()
 	res.Total = cl.TotalStats()
 	res.Locks = cl.LockStats()
-	res.Digest, _, res.DigestErr = cl.Digest()
-	res.PhaseStart, _ = cl.PhaseWindow()
 	res.Bytes = fc.TotalBytes()
 	res.Err = err
 	return res

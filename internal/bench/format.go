@@ -84,52 +84,6 @@ func BandwidthTable(title string, results []Result) string {
 	return b.String()
 }
 
-// CacheTable renders the extent-cache columns of a result set: hits,
-// misses, hit ratio, aggregated flushes and coherence invalidations per
-// client (from the timed phase), plus wire messages — the aggregation
-// win and the coherence cost side by side.
-func CacheTable(title string, results []Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-16s %8s %8s %8s %8s %9s %10s %8s %10s\n",
-		"Run", "clients", "hits", "misses", "hit%", "flushes", "flushed", "inval", "wiremsgs")
-	for _, r := range results {
-		if r.Err != nil {
-			fmt.Fprintf(&b, "%-16s ERROR: %v\n", r.Name, r.Err)
-			continue
-		}
-		s := r.PerClient
-		fmt.Fprintf(&b, "%-16s %8d %8d %8d %7.0f%% %9d %10s %8d %10d\n",
-			r.Name, r.Clients,
-			s.CacheHits, s.CacheMisses, 100*s.HitRatio(),
-			s.FlushOps, iostats.MB(s.FlushBytes), s.Invalidations, s.WireMsgs)
-	}
-	return b.String()
-}
-
-// ReplicaTable renders the replication columns of a result set: write
-// fan-out copies and degraded reads over the whole run (lifetime
-// totals, since a kill can land in setup as easily as in the timed
-// phase), repair traffic from the server side, and the bandwidth the
-// run still delivered — availability and its cost side by side.
-func ReplicaTable(title string, results []Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-24s %8s %10s %10s %10s %10s\n",
-		"Run", "clients", "MB/s", "fanout", "degraded", "repair")
-	for _, r := range results {
-		if r.Err != nil {
-			fmt.Fprintf(&b, "%-24s ERROR: %v\n", r.Name, r.Err)
-			continue
-		}
-		fmt.Fprintf(&b, "%-24s %8d %10.2f %10d %10d %10s\n",
-			r.Name, r.Clients, r.BandwidthMBs(),
-			r.Total.FanoutWrites, r.Total.DegradedReads,
-			iostats.MB(r.Disk.ReplicaRepairBytes))
-	}
-	return b.String()
-}
-
 // UtilizationTable renders the bottleneck analysis of a result set.
 func UtilizationTable(title string, results []Result) string {
 	var b strings.Builder

@@ -105,6 +105,9 @@ func TestHealthFlagsDegradeWithinOneInterval(t *testing.T) {
 		t.Fatalf("reads did not shift off the straggler: server0=%d server1=%d (all: %v)",
 			reads[0], reads[1], reads)
 	}
+	if share := float64(reads[0]) / float64(reads[0]+reads[1]); share >= 0.35 {
+		t.Fatalf("straggler still served %.0f%% of its group's reads (%v)", 100*share, reads)
+	}
 	// Other groups stay balanced-ish: their members must all have served
 	// reads (the bias only isolates the straggler, not healthy members).
 	for s := 2; s < len(reads); s++ {

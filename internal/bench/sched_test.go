@@ -57,43 +57,72 @@ func TestZeroByteRequestsChargeNoDisk(t *testing.T) {
 	}
 }
 
-// TestDiskSchedCollapsesTileDtypeOps checks the headline effect: the
-// tile reader's dtype requests present many small physical runs per
-// server and the scheduler dispatches them as far fewer operations,
-// while the NoDiskSched ablation keeps (nearly) all of them.
-func TestDiskSchedCollapsesTileDtypeOps(t *testing.T) {
-	tile := workloads.DefaultTile()
-
-	on := TileRead(DefaultConfig(6, 1), tile, mpiio.DtypeIO, 1)
-	if on.Err != nil {
-		t.Fatal(on.Err)
+// TestSimulatorReplaysCompiledPrograms: the paper-fidelity simulator
+// runs with the loop cache off, so every dtype request pays the decode,
+// yet the servers still expand it through a compiled run program — the
+// same Program.Replay path the daemons take.
+func TestSimulatorReplaysCompiledPrograms(t *testing.T) {
+	cfg := DefaultConfig(1, 1)
+	cfg.Servers = 4
+	cfg.Discard = false
+	cfg.StripSize = 1024
+	c := NewCluster(cfg)
+	_, _, err := c.Run(func(r *Rank) error {
+		f, err := r.FS.Create(r.Env, "c.dat", cfg.StripSize, 0)
+		if err != nil {
+			return err
+		}
+		mem := make([]byte, 64*8)
+		a := &pvfs.DtypeAccess{
+			Mem: mem, MemLoop: dataloop.FromType(datatype.Bytes(int64(len(mem)))), MemCount: 1,
+			FileLoop: dataloop.FromType(datatype.Vector(64, 1, 3, datatype.Int64)),
+		}
+		if err := f.WriteDtype(r.Env, a); err != nil {
+			return err
+		}
+		return f.ReadDtype(r.Env, a)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if on.Disk.DiskOps == 0 {
-		t.Fatal("no physical runs recorded")
+	var replays int64
+	for _, s := range c.servers {
+		if cs := s.LoopCacheStats(); cs.Hits+cs.Misses != 0 {
+			t.Fatalf("loop cache consulted with LoopCache off: %+v", cs)
+		}
+		replays += s.CompiledReplays()
 	}
-	if on.Disk.DiskOpsMerged >= on.Disk.DiskOps {
-		t.Fatalf("scheduler did not coalesce: %d runs -> %d ops",
-			on.Disk.DiskOps, on.Disk.DiskOpsMerged)
-	}
-
-	offCfg := DefaultConfig(6, 1)
-	offCfg.NoDiskSched = true
-	off := TileRead(offCfg, tile, mpiio.DtypeIO, 1)
-	if off.Err != nil {
-		t.Fatal(off.Err)
-	}
-	if off.Disk.DiskOpsMerged <= on.Disk.DiskOpsMerged {
-		t.Fatalf("ablation dispatched %d ops, scheduler %d: no scheduling win measured",
-			off.Disk.DiskOpsMerged, on.Disk.DiskOpsMerged)
-	}
-	if on.BandwidthMBs() <= off.BandwidthMBs() {
-		t.Fatalf("dtype tile read: sched on %.2f MB/s not faster than off %.2f MB/s",
-			on.BandwidthMBs(), off.BandwidthMBs())
+	if replays == 0 {
+		t.Fatal("no dtype request expanded through a compiled program")
 	}
 }
 
-// schedVariants are the scheduler configurations the pr3 benchmark
-// sweeps; every one must produce byte-identical results.
+// TestDiskSchedCollapsesTileDtypeOps checks the headline effect: the
+// tile reader's dtype and list requests present thousands of small
+// physical runs across the servers, and the scheduler dispatches them
+// as a small fraction of that many operations. The counts are exact:
+// the simulator is deterministic, so any change to planning shows here.
+func TestDiskSchedCollapsesTileDtypeOps(t *testing.T) {
+	for _, tc := range []struct {
+		m         mpiio.Method
+		runs, ops int64
+	}{
+		{mpiio.DtypeIO, 5000, 97},
+		{mpiio.ListIO, 4825, 601},
+	} {
+		r := TileRead(DefaultConfig(6, 1), workloads.DefaultTile(), tc.m, 1)
+		if r.Err != nil {
+			t.Fatalf("%v: %v", tc.m, r.Err)
+		}
+		if r.Disk.DiskOps != tc.runs || r.Disk.DiskOpsMerged != tc.ops {
+			t.Errorf("%v: %d runs -> %d ops, want %d -> %d",
+				tc.m, r.Disk.DiskOps, r.Disk.DiskOpsMerged, tc.runs, tc.ops)
+		}
+	}
+}
+
+// schedVariants are read gap-merge thresholds around the default;
+// every one must produce byte-identical results.
 func schedVariants() []struct {
 	name string
 	mut  func(*Config)
@@ -102,7 +131,6 @@ func schedVariants() []struct {
 		name string
 		mut  func(*Config)
 	}{
-		{"nosched", func(c *Config) { c.NoDiskSched = true }},
 		{"gap0", func(c *Config) { c.SieveGapBytes = 0 }},
 		{"gap4k", func(c *Config) { c.SieveGapBytes = 4096 }},
 		{"gap64k", func(c *Config) { c.SieveGapBytes = 64 * 1024 }},

@@ -101,7 +101,7 @@ func TestTracedRunLinksServerSpansToClientOps(t *testing.T) {
 // populated client and server latency distributions with monotone
 // quantiles.
 func TestResultLatencyHistograms(t *testing.T) {
-	for _, m := range []mpiio.Method{mpiio.Posix, mpiio.DtypeIO} {
+	for _, m := range []mpiio.Method{mpiio.Posix, mpiio.Sieve, mpiio.DtypeIO} {
 		res := TileRead(verifyCfg(6, 1), smallTile(), m, 2)
 		if res.Err != nil {
 			t.Fatalf("%v: %v", m, res.Err)
@@ -115,6 +115,9 @@ func TestResultLatencyHistograms(t *testing.T) {
 		p50, p95, p99 := res.Lat.Quantiles()
 		if p50 <= 0 || p95 < p50 || p99 < p95 {
 			t.Fatalf("%v: bad quantiles %v/%v/%v", m, p50, p95, p99)
+		}
+		if p50, p95, p99 := res.SrvLat.Quantiles(); p95 < p50 || p99 < p95 {
+			t.Fatalf("%v: non-monotone server quantiles %v/%v/%v", m, p50, p95, p99)
 		}
 	}
 }

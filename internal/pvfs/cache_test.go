@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"dtio/internal/iostats"
+	"dtio/internal/striping"
 	"dtio/internal/transport"
+	"dtio/internal/wire"
 )
 
 // cachedClient returns a client with the extent cache enabled.
@@ -137,9 +139,12 @@ func TestCacheCoherence(t *testing.T) {
 				return err
 			}
 			// Poll the peer's slot; each read is an op boundary that
-			// also services revocations of our own lease.
+			// also services revocations of our own lease. The peer may
+			// already be a round ahead: it can write rounds rd and rd+1
+			// into its still-exclusive chunk before our shared request
+			// lands, so wait for "at least rd+1", not "exactly".
 			got := make([]byte, 1)
-			for got[0] != byte(rd+1) {
+			for got[0] < byte(rd+1) {
 				if err := f.ReadContig(tc.env, peer, got); err != nil {
 					return err
 				}
@@ -187,6 +192,104 @@ func TestCacheCoherence(t *testing.T) {
 	}
 	if got[0] != rounds || got[1] != rounds {
 		t.Fatalf("final slots = %v, want both %d", got, rounds)
+	}
+}
+
+// TestRevokeBeforeGrantReleasedAtNextOp: the lock service may deliver
+// LeaseRevoke{X} ahead of the client's own LockGrant{X}. The revoke is
+// at-most-once, so dropping it as "unknown lease" would leave the
+// conflicting waiter stalled until the lease expires. A scripted meta
+// connection answers the first acquire with Revoke(X) then Grant(X); the
+// client must flush and release X at its next op boundary.
+func TestRevokeBeforeGrantReleasedAtNextOp(t *testing.T) {
+	net := transport.NewMemNetwork()
+	env := transport.NewRealEnv()
+	srv := NewServer(net, "io0", 0, CostModel{})
+	go srv.Serve(env)
+	defer srv.Close()
+	for i := 0; ; i++ {
+		conn, err := net.Dial(env, "io0")
+		if err == nil {
+			conn.Close()
+			break
+		}
+		if i == 2000 {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	lis, err := net.Listen("meta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	const leaseX = 41
+	released := make(chan uint64, 4) // room for every release the test provokes: the fake never blocks
+	go func() {
+		conn, err := lis.Accept(env)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		next := uint64(leaseX)
+		for {
+			raw, err := conn.Recv(env)
+			if err != nil {
+				return
+			}
+			mt, v, err := wire.DecodeMsg(raw)
+			if err != nil {
+				return
+			}
+			switch mt {
+			case wire.MTLockAcquireReq:
+				a := v.(*wire.LockAcquireReq)
+				if next == leaseX {
+					conn.Send(env, wire.EncodeLeaseRevoke(&wire.LeaseRevoke{
+						Handle: a.Handle, LockID: next, Off: a.Off, N: a.N,
+					}))
+				}
+				conn.Send(env, wire.EncodeLockGrant(&wire.LockGrant{OK: true, LockID: next}))
+				next++
+			case wire.MTLockReleaseReq:
+				released <- v.(*wire.LockReleaseReq).LockID
+				conn.Send(env, wire.EncodeMetaResp(&wire.MetaResp{OK: true}))
+			}
+		}
+	}()
+
+	c := NewClient(net, "meta", []string{"io0"}, CostModel{})
+	c.CacheBytes = 1 << 20
+	c.CacheChunkBytes = 4096
+	defer c.Close()
+	f := &File{c: c, name: "early.dat", handle: 1, layout: striping.Layout{StripSize: 4096, NServers: 1}}
+	if err := f.WriteContig(env, 0, []byte("A")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case id := <-released:
+		t.Fatalf("lease %d released before any op boundary", id)
+	default:
+	}
+	// The next op boundary services the revoke: flush, then release X.
+	if err := f.WriteContig(env, 1, []byte("B")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case id := <-released:
+		if id != leaseX {
+			t.Fatalf("released lease %d, want %d", id, leaseX)
+		}
+	default:
+		t.Fatalf("revoke of lease %d arrived before its grant and was lost", leaseX)
+	}
+	f.NoCache = true
+	got := make([]byte, 1)
+	if err := f.ReadContig(env, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 'A' {
+		t.Fatalf("revoked chunk not flushed before release: server holds %q", got)
 	}
 }
 

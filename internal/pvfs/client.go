@@ -97,9 +97,6 @@ type Client struct {
 	// StreamWindow is the maximum number of unacknowledged segments in
 	// flight per streamed write (0 = DefaultStreamWindow).
 	StreamWindow int
-	// DisableStreaming forces store-and-forward writes regardless of
-	// size (the pre-streaming behavior, kept for ablations).
-	DisableStreaming bool
 	// Retry governs I/O-server request retries. The metadata channel is
 	// not retried: it is stateful (locks, leases) and the fault injector
 	// leaves it reliable.
@@ -384,6 +381,14 @@ func (c *Client) awaitMetaResp(env transport.Env, conn transport.Conn) (*wire.Me
 // (This also resolves self-conflicts: our own non-revocable lock queued
 // behind our own cache lease revokes it right here.)
 //
+// A revoke can also overtake the grant it is about: the lock service
+// queues LeaseRevoke{X} for delivery as soon as a conflicting request
+// arrives, which may be before our own LockGrant{X} goes out. A revoke
+// for a lease the cache does not know yet is therefore parked while the
+// acquire is outstanding; the one the grant's ID names is re-queued for
+// the next safe point, once the cache has installed the lease. Parked
+// revokes for other IDs were crossed by our own releases and drop.
+//
 // The blocked client only listens on shard s, so before blocking it
 // surrenders any cache leases held on *other* shards: a revoke arriving
 // on a connection nobody reads is the cross-shard variant of the
@@ -403,6 +408,7 @@ func (c *Client) lockCall(env transport.Env, s int, req []byte) (*wire.LockGrant
 	if err := conn.Send(env, req); err != nil {
 		return nil, err
 	}
+	var parked []*wire.LeaseRevoke
 	for {
 		if len(c.pendGrants) > 0 {
 			g := c.pendGrants[0]
@@ -410,11 +416,20 @@ func (c *Client) lockCall(env transport.Env, s int, req []byte) (*wire.LockGrant
 			if !g.OK {
 				return nil, errors.New("pvfs: " + g.Err)
 			}
+			for _, r := range parked {
+				if r.LockID == g.LockID {
+					c.pendRevokes = append(c.pendRevokes, r)
+				}
+			}
 			return g, nil
 		}
 		if len(c.pendRevokes) > 0 && c.cc != nil {
 			r := c.pendRevokes[0]
 			c.pendRevokes = c.pendRevokes[1:]
+			if c.cc.byLock[r.LockID] == nil {
+				parked = append(parked, r)
+				continue
+			}
 			if err := c.cc.handleRevoke(env, r); err != nil {
 				return nil, err
 			}
@@ -1042,12 +1057,10 @@ func (c *Client) writeAll(env transport.Env, groups []int, payloads [][]byte, mk
 		return c.writeFanout(env, groups, payloads, mkReq, seg, window, seq)
 	}
 	stream := false
-	if !c.DisableStreaming {
-		for _, s := range groups {
-			if int64(len(payloads[s])) > seg {
-				stream = true
-				break
-			}
+	for _, s := range groups {
+		if int64(len(payloads[s])) > seg {
+			stream = true
+			break
 		}
 	}
 	if !stream {
@@ -1160,7 +1173,7 @@ func (c *Client) writeFanout(env transport.Env, groups []int, payloads [][]byte,
 func (c *Client) writeOne(env transport.Env, g, member int, payload []byte, mkReq func(int, int, []byte) []byte, seg, window int64, seq uint64, attempts int) error {
 	phys := c.phys(g, member)
 	total := int64(len(payload))
-	if c.DisableStreaming || total <= seg {
+	if total <= seg {
 		req := mkReq(g, member, payload)
 		_, err := c.exchangeN(env, phys, req, int64(len(req))-total, total, seq, attempts)
 		return err

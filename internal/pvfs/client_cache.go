@@ -143,9 +143,10 @@ func (cc *clientCache) expireLeases(env transport.Env) error {
 
 // handleRevoke services one server-pushed revocation: flush the covered
 // chunk's dirty ranges, release the lease (the release is the ack the
-// server's waiter queue is waiting on), and drop the chunk. An unknown
-// lock id means our own release crossed the revoke on the wire; nothing
-// to do.
+// server's waiter queue is waiting on), and drop the chunk. Outside a
+// lock acquire an unknown lock id means our own release crossed the
+// revoke on the wire; nothing to do (lockCall parks unknown ids while
+// an acquire is outstanding, since the revoke may precede its grant).
 func (cc *clientCache) handleRevoke(env transport.Env, r *wire.LeaseRevoke) error {
 	ch := cc.byLock[r.LockID]
 	if ch == nil {

@@ -322,8 +322,30 @@ func TestCrashRestartClientRecovers(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("data lost across crash-restart")
 	}
-	if snap := c.Stats.Snapshot(); snap.Retries == 0 {
+	snap := c.Stats.Snapshot()
+	if snap.Retries == 0 {
 		t.Fatal("crash recovery recorded no retries")
+	}
+	if snap.FailoverNs <= 0 {
+		t.Fatal("crash recovery recorded no failover time")
+	}
+	// A write issued into a second outage is re-sent whole once the
+	// server is back.
+	for i := range data {
+		data[i] ^= 0x5a
+	}
+	tc.servers[0].Crash(80 * time.Millisecond)
+	if err := f.WriteContig(env, 0, data); err != nil {
+		t.Fatalf("write across crash-restart: %v", err)
+	}
+	if err := f.ReadContig(env, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("write lost across crash-restart")
+	}
+	if c.Stats.Snapshot().ReplayedBytes == 0 {
+		t.Fatal("write retry across the crash replayed no payload")
 	}
 }
 

@@ -161,6 +161,10 @@ func TestReplicatedRoundTrip(t *testing.T) {
 	if snap.FanoutWrites == 0 {
 		t.Fatal("k=2 writes recorded no fan-out copies")
 	}
+	if snap.DegradedReads != 0 || rc.srvIO.Snapshot().ReplicaRepairBytes != 0 {
+		t.Fatalf("healthy group counted %d degraded reads, %d repair bytes",
+			snap.DegradedReads, rc.srvIO.Snapshot().ReplicaRepairBytes)
+	}
 	// The second copies must be complete: kill member 0 of BOTH groups
 	// (servers 0 and 2) and re-read everything off members 1 and 3.
 	want := append([]byte(nil), data...)

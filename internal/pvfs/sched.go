@@ -64,8 +64,6 @@ type diskSched struct {
 	cost    CostModel
 	stats   *iostats.Stats
 	write   bool
-	noSort  bool  // ablation: arrival-order dispatch, no coalescing
-	vec     bool  // dispatch coalesced ops as one vectored store call
 	vecMin  int64 // average-run floor for vectored dispatch (0: always)
 	gap     int64 // read gap-merge threshold (0 = adjacency only)
 	scale   int64 // disk-time multiplier in percent (0 or 100 = normal)
@@ -89,8 +87,6 @@ func (s *Server) newSched(write bool) *diskSched {
 	d.cost = s.cost
 	d.stats = s.Stats
 	d.write = write
-	d.noSort = s.DisableDiskSched
-	d.vec = !s.DisableVectoredIO
 	d.vecMin = vecMinRunBytes
 	d.gap = s.SieveGapBytes
 	d.scale = s.diskScale.Load()
@@ -161,29 +157,22 @@ func (d *diskSched) planBatch(batch []ioSpan) segPlan {
 	from := len(d.sorted)
 	d.sorted = append(d.sorted, batch...)
 	b := d.sorted[from:]
-	if !d.noSort {
-		sort.Slice(b, func(i, j int) bool {
-			if b[i].off != b[j].off {
-				return b[i].off < b[j].off
-			}
-			return b[i].pos < b[j].pos
-		})
-		if d.write && writeOverlap(b) {
-			copy(b, batch)
+	sort.Slice(b, func(i, j int) bool {
+		if b[i].off != b[j].off {
+			return b[i].off < b[j].off
 		}
+		return b[i].pos < b[j].pos
+	})
+	if d.write && writeOverlap(b) {
+		copy(b, batch)
 	}
 	cur := diskOp{off: b[0].off, n: b[0].n, first: from, count: 1}
 	for i := 1; i < len(b); i++ {
 		sp := b[i]
 		end := cur.off + cur.n
-		var join bool
-		switch {
-		case d.noSort:
-			// Ablation: every run dispatches as its own operation.
-		case d.write:
+		join := sp.off >= cur.off && sp.off <= end+d.gap
+		if d.write {
 			join = sp.off == end
-		default:
-			join = sp.off >= cur.off && sp.off <= end+d.gap
 		}
 		if join {
 			if e := sp.off + sp.n; e > end {
@@ -252,11 +241,11 @@ func (d *diskSched) runReads(env transport.Env, st storage.Store, dst []byte) er
 // the runs' dst windows, so run bytes never pass through a staging
 // copy. Sieved gap bytes scatter into a pooled throwaway slice. Runs
 // that overlap on disk (the same bytes feed two response positions)
-// cannot scatter in one pass, so those operations — and every one when
-// vectoring is disabled or the runs average below the vecMin floor —
-// stage through a pooled scratch buffer and copy out per run. Either
-// way the response is byte-identical. base translates absolute payload
-// positions into dst indices.
+// cannot scatter in one pass, so those operations — and every one whose
+// runs average below the vecMin floor — stage through a pooled scratch
+// buffer and copy out per run. Either way the response is
+// byte-identical. base translates absolute payload positions into dst
+// indices.
 func (d *diskSched) readBatch(st storage.Store, p segPlan, dst []byte, base int64) error {
 	for _, op := range d.ops[p.opsFrom:p.opsTo] {
 		runs := d.sorted[op.first : op.first+op.count]
@@ -267,13 +256,11 @@ func (d *diskSched) readBatch(st storage.Store, p segPlan, dst []byte, base int6
 			}
 			continue
 		}
-		if d.vec {
-			if maxGap, runBytes, ok := vecLayout(op, runs); ok && runBytes >= d.vecMin*int64(op.count) {
-				if err := d.readVec(st, op, runs, dst, base, maxGap); err != nil {
-					return err
-				}
-				continue
+		if maxGap, runBytes, ok := vecLayout(op, runs); ok && runBytes >= d.vecMin*int64(op.count) {
+			if err := d.readVec(st, op, runs, dst, base, maxGap); err != nil {
+				return err
 			}
+			continue
 		}
 		bp := getBuf(int(op.n))
 		if err := st.ReadAt(*bp, op.off); err != nil {
@@ -360,9 +347,9 @@ func (d *diskSched) flushWrites(env transport.Env, st storage.Store) error {
 // slices to the store as one vectored gather (storage.WriteAtv —
 // pwritev on file stores), zero-copy. Coalesced write runs are always
 // strictly adjacent (the join rule), so the gather covers the
-// operation exactly and op.n is the runs' byte total. With vectoring
-// disabled, or runs averaging below the vecMin floor, the runs gather
-// into a pooled scratch buffer and issue one scalar WriteAt.
+// operation exactly and op.n is the runs' byte total. Runs averaging
+// below the vecMin floor gather into a pooled scratch buffer and issue
+// one scalar WriteAt instead.
 func (d *diskSched) writeBatch(st storage.Store, p segPlan) error {
 	for _, op := range d.ops[p.opsFrom:p.opsTo] {
 		runs := d.sorted[op.first : op.first+op.count]
@@ -372,7 +359,7 @@ func (d *diskSched) writeBatch(st storage.Store, p segPlan) error {
 			}
 			continue
 		}
-		if d.vec && op.n >= d.vecMin*int64(op.count) {
+		if op.n >= d.vecMin*int64(op.count) {
 			iov := d.iov[:0]
 			for _, sp := range runs {
 				iov = append(iov, sp.data)

@@ -167,19 +167,6 @@ func TestChargeSeekCap(t *testing.T) {
 	}
 }
 
-func TestNoSortDispatchesArrivalOrderUncoalesced(t *testing.T) {
-	d := testSched(false, 64*1024, nil)
-	d.noSort = true
-	d.add(200, 100, 100, nil)
-	d.add(0, 100, 0, nil)
-	d.add(300, 100, 200, nil) // adjacent to the first run, still separate
-	p := d.planBatch(d.spans)
-	want := [][2]int64{{200, 100}, {0, 100}, {300, 100}}
-	if got := opsOf(d, p); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("ops = %v, want %v (arrival order)", got, want)
-	}
-}
-
 func TestPlanStreamSplitsAtSegmentBoundaries(t *testing.T) {
 	var st iostats.Stats
 	d := testSched(false, 0, &st)
@@ -214,19 +201,16 @@ func TestPlanStreamSplitsAtSegmentBoundaries(t *testing.T) {
 }
 
 // TestSchedRoundTripVariants reproduces the same strided pattern under
-// every scheduler configuration the benchmarks sweep and checks the
-// bytes are identical in all of them.
+// several read gap-merge thresholds and checks the bytes are identical
+// in all of them.
 func TestSchedRoundTripVariants(t *testing.T) {
 	variants := []struct {
 		name string
 		tune func(*Server)
 	}{
-		{"nosched", func(s *Server) { s.DisableDiskSched = true }},
 		{"gap0", func(s *Server) { s.SieveGapBytes = 0 }},
 		{"gap4k", func(s *Server) { s.SieveGapBytes = 4096 }},
 		{"gap512k", func(s *Server) { s.SieveGapBytes = 512 * 1024 }},
-		{"novec", func(s *Server) { s.DisableVectoredIO = true }},
-		{"novec-gap4k", func(s *Server) { s.DisableVectoredIO = true; s.SieveGapBytes = 4096 }},
 	}
 	for _, v := range variants {
 		v := v
@@ -274,19 +258,26 @@ func TestSchedRoundTripVariants(t *testing.T) {
 	}
 }
 
-// TestVectoredBatchByteIdentity executes the same coalesced plans with
-// vectored dispatch on and off against real stores and checks the
-// bytes agree, including sieve-gap scatters and the overlapping-read
-// fallback, along with the vectored-dispatch counter.
+// stageAll raises a scheduler's vectored-dispatch floor past any run
+// size, so every coalesced operation stages through scratch.
+func stageAll(d *diskSched) { d.vecMin = 1 << 40 }
+
+// TestVectoredBatchByteIdentity executes the same coalesced plans
+// vectored and staged (the floor raised past every run) against real
+// stores and checks the bytes agree, including sieve-gap scatters and
+// the overlapping-read fallback, along with the vectored-dispatch
+// counter.
 func TestVectoredBatchByteIdentity(t *testing.T) {
 	env := transport.NewRealEnv()
 	// Writes: strictly adjacent runs coalesce into one op; vectored
-	// dispatch gathers the payload slices, scalar stages through scratch.
+	// dispatch gathers the payload slices, staged copies through scratch.
 	payload := patterned(300)
 	runWrites := func(vec bool, st storage.Store) int64 {
 		var is iostats.Stats
 		d := testSched(true, 0, &is)
-		d.vec = vec
+		if !vec {
+			stageAll(d)
+		}
 		d.add(1000, 100, 0, payload[0:100])
 		d.add(1100, 100, 100, payload[100:200])
 		d.add(1200, 100, 200, payload[200:300])
@@ -316,7 +307,9 @@ func TestVectoredBatchByteIdentity(t *testing.T) {
 	runReads := func(vec bool) ([]byte, int64) {
 		var is iostats.Stats
 		d := testSched(false, 4096, &is)
-		d.vec = vec
+		if !vec {
+			stageAll(d)
+		}
 		dst := make([]byte, 450)
 		d.add(0, 100, 0, nil)
 		d.add(600, 100, 100, nil)  // 500-byte sieved gap
@@ -354,7 +347,6 @@ func TestVecMinRunFloor(t *testing.T) {
 		payload := patterned(3 * runLen)
 		var is iostats.Stats
 		d := testSched(true, 0, &is)
-		d.vec = true
 		d.vecMin = 512
 		for i := 0; i < 3; i++ {
 			d.add(int64(1000+i*runLen), int64(runLen), int64(i*runLen), payload[i*runLen:(i+1)*runLen])
@@ -385,7 +377,6 @@ func TestVecMinRunFloor(t *testing.T) {
 	runReads := func(runLen int, vecMin int64) ([]byte, int64) {
 		var is iostats.Stats
 		d := testSched(false, 4096, &is)
-		d.vec = true
 		d.vecMin = vecMin
 		dst := make([]byte, 3*runLen)
 		for i := 0; i < 3; i++ {

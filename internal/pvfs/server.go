@@ -184,19 +184,14 @@ type Server struct {
 	// flatten.Compile cost; replay is then pure arithmetic. Overflow is
 	// handled by a second-chance sweep, not a reset, so a hot view
 	// population survives a scan of cold ones. Disable with
-	// DisableLoopCache.
+	// DisableLoopCache; every request then decodes and compiles afresh.
 	DisableLoopCache bool
-	// DisableCompiledLoops keeps dtype expansion on the interpreted
-	// Segment walk even when a compiled program is cached (the
-	// compiled-vs-interpreted ablation; programs are still compiled and
-	// cached so flipping the flag needs no warmup).
-	DisableCompiledLoops bool
-	cacheMu              sync.Mutex
-	loopCache            map[string]*loopEntry
-	cacheHits            int64
-	cacheMisses          int64
-	cacheEvictions       int64
-	compiledReplays      atomic.Int64
+	cacheMu          sync.Mutex
+	loopCache        map[string]*loopEntry
+	cacheHits        int64
+	cacheMisses      int64
+	cacheEvictions   int64
+	compiledReplays  atomic.Int64
 
 	// StreamChunkBytes is the flow-control segment size: transfers
 	// larger than this are streamed so disk and network overlap
@@ -205,23 +200,12 @@ type Server struct {
 	// StreamWindow is the maximum number of unacknowledged segments in
 	// flight per streamed transfer (0 = DefaultStreamWindow).
 	StreamWindow int
-	// DisableStreaming forces store-and-forward transfers regardless of
-	// size (the pre-streaming behavior, kept for ablations).
-	DisableStreaming bool
 
-	// DisableDiskSched dispatches a request's physical runs in arrival
-	// order with no coalescing (the NoDiskSched ablation; DESIGN.md §10).
-	DisableDiskSched bool
 	// SieveGapBytes is the disk scheduler's read gap-merge threshold:
 	// runs separated by at most this many bytes are served by a single
 	// over-reading disk operation (0 = merge strictly adjacent runs
 	// only; see DefaultSieveGapBytes).
 	SieveGapBytes int64
-	// DisableVectoredIO makes coalesced disk operations stage through a
-	// scratch buffer and issue one scalar ReadAt/WriteAt each (the
-	// pre-vectored behavior) instead of handing the runs to the store as
-	// a single ReadAtv/WriteAtv scatter-gather batch.
-	DisableVectoredIO bool
 	// Stats (optional) collects the disk-scheduler counters: runs
 	// presented, operations dispatched, head travel.
 	Stats *iostats.Stats
@@ -1457,7 +1441,7 @@ func (s *Server) readReply(env transport.Env, conn transport.Conn, lay striping.
 	}
 	env.Compute(s.cost.PerRegionServer * time.Duration(nPieces))
 	seg, window := streamParams(s.StreamChunkBytes, s.StreamWindow)
-	if s.DisableStreaming || total <= seg {
+	if total <= seg {
 		// Build the OK response in place: one allocation sized from the
 		// known total, with storage reads landing directly in the frame.
 		// A zero-byte request dispatches no operation and charges no
@@ -1542,28 +1526,30 @@ type loopEntry struct {
 // loopCacheCap bounds the number of memoized views per server.
 const loopCacheCap = 1024
 
-// cachedLoop decodes a dataloop, memoizing decode+compile by wire
-// bytes, and reports whether it was served from the cache.
+// cachedLoop decodes a dataloop and compiles its run program (nil when
+// flatten.Compile declines), memoizing both by wire bytes unless the
+// cache is disabled, and reports whether it was served from the cache.
 func (s *Server) cachedLoop(enc []byte) (*dataloop.Loop, *flatten.Program, bool, error) {
-	if s.DisableLoopCache {
-		l, _, err := dataloop.Decode(enc)
-		return l, nil, false, err
-	}
-	s.cacheMu.Lock()
-	// The compiler elides the []byte->string conversion for a direct map
-	// lookup, so the hit path allocates nothing.
-	if e, ok := s.loopCache[string(enc)]; ok {
-		s.cacheHits++
-		e.ref = true
+	if !s.DisableLoopCache {
+		s.cacheMu.Lock()
+		// The compiler elides the []byte->string conversion for a direct
+		// map lookup, so the hit path allocates nothing.
+		if e, ok := s.loopCache[string(enc)]; ok {
+			s.cacheHits++
+			e.ref = true
+			s.cacheMu.Unlock()
+			return e.loop, e.prog, true, nil
+		}
 		s.cacheMu.Unlock()
-		return e.loop, e.prog, true, nil
 	}
-	s.cacheMu.Unlock()
 	l, _, err := dataloop.Decode(enc)
 	if err != nil {
 		return nil, nil, false, err
 	}
 	e := &loopEntry{loop: l, prog: flatten.Compile(l)}
+	if s.DisableLoopCache {
+		return l, e.prog, false, nil
+	}
 	key := string(enc)
 	s.cacheMu.Lock()
 	if s.loopCache == nil {
@@ -1641,9 +1627,9 @@ func (s *Server) dtype(env transport.Env, conn transport.Conn, r *wire.DtypeReq,
 		sp.SetAttr("loop_cache_hit", 1)
 	}
 	// Compiled replay matches the coalescing walk byte-for-byte; the
-	// uncoalesced ablation and the compiled-off ablation both stay on
-	// the interpreter.
-	if r.NoCoalesce || s.DisableCompiledLoops {
+	// uncoalesced ablation, and loops the compiler declined, expand on
+	// the interpreted walk.
+	if r.NoCoalesce {
 		prog = nil
 	}
 	idx := int(r.Layout.ServerIdx)
