@@ -19,7 +19,11 @@
 // Iter path as the always-correct fallback.
 package flatten
 
-import "dtio/internal/dataloop"
+import (
+	"fmt"
+
+	"dtio/internal/dataloop"
+)
 
 // Program opcodes.
 const (
@@ -350,7 +354,10 @@ func (c *compiler) node(l *dataloop.Loop, base int64) {
 
 // replayer carries the replay cursor: s is the stream position, [lo, hi)
 // the request window, and cur/has the pending region held for adjacent
-// coalescing (matching Iter's coalesce=true semantics exactly).
+// coalescing (matching Iter's coalesce=true semantics exactly). A
+// replayer either emits regions (Replay) or moves bytes (Gather,
+// Scatter): then mem is the buffer the program describes, flat the
+// contiguous side at cursor k, and pieces counts the coalesced regions.
 type replayer struct {
 	ops  []progOp
 	s    int64
@@ -359,6 +366,11 @@ type replayer struct {
 	cur  Region
 	has  bool
 	emit func(off, n int64) error
+
+	mem, flat []byte
+	k         int64
+	gather    bool
+	pieces    int64
 }
 
 // Replay emits the coalesced file regions of count instances of the
@@ -438,6 +450,13 @@ func (r *replayer) exec(i, end int32, base int64) error {
 				j = (r.lo - r.s) / op.length
 				r.s += j * op.length
 			}
+			if r.emit == nil {
+				if err := r.move(op, base, j); err != nil {
+					return err
+				}
+				i = next
+				continue
+			}
 			for ; j < op.count && r.s < r.hi; j++ {
 				ps, pe := r.s, r.s+op.length
 				off, ln := base+op.off+j*op.stride, op.length
@@ -470,5 +489,94 @@ func (r *replayer) exec(i, end int32, base int64) error {
 		}
 		i = next
 	}
+	return nil
+}
+
+// Gather copies stream window [pos, pos+n) of count instances of the
+// program displaced by disp out of src, in stream order, into dst[:n]:
+// the client's pack. It reports the window's coalesced piece count —
+// how many regions Replay would emit for the same window — without
+// building them. A nil dst only counts. Every run the window touches
+// must lie inside src; one that does not is an error, and nothing past
+// it is copied.
+func (p *Program) Gather(dst, src []byte, count, disp, pos, n int64) (int64, error) {
+	return p.move(src, dst, count, disp, pos, n, true)
+}
+
+// Scatter is Gather's inverse, the client's unpack: it copies src[:n]
+// into the runs of window [pos, pos+n) of dst. A nil src only counts.
+func (p *Program) Scatter(dst, src []byte, count, disp, pos, n int64) (int64, error) {
+	return p.move(dst, src, count, disp, pos, n, false)
+}
+
+// move runs Gather (gather) or Scatter between the strided buffer mem
+// and the contiguous buffer flat.
+func (p *Program) move(mem, flat []byte, count, disp, pos, n int64, gather bool) (int64, error) {
+	if n == 0 {
+		return 0, nil
+	}
+	if pos < 0 || n < 0 || pos+n > count*p.size {
+		return 0, fmt.Errorf("flatten: window [%d,%d) outside the %d-byte stream", pos, pos+n, count*p.size)
+	}
+	if flat != nil && int64(len(flat)) < n {
+		return 0, fmt.Errorf("flatten: %d-byte buffer for a %d-byte window", len(flat), n)
+	}
+	// Field by field: a composite literal of this size is built aside
+	// and block-copied, which costs more than the usual window's copy.
+	var r replayer
+	r.ops, r.lo, r.hi, r.mem, r.flat, r.gather = p.ops, pos, pos+n, mem, flat, gather
+	for inst := pos / p.size; inst < count && inst*p.size < r.hi; inst++ {
+		r.s = inst * p.size
+		if err := r.exec(0, int32(len(p.ops)), disp+inst*p.extent); err != nil {
+			return r.pieces, err
+		}
+	}
+	return r.pieces, nil
+}
+
+// move copies the runs of op from index j on that the window visits,
+// checking once that their whole span lies inside mem.
+func (r *replayer) move(op *progOp, base, j int64) error {
+	last := j + (r.hi-r.s+op.length-1)/op.length - 1
+	if last >= op.count {
+		last = op.count - 1
+	}
+	lo, hi := base+op.off+j*op.stride, base+op.off+last*op.stride
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if lo < 0 || hi+op.length > int64(len(r.mem)) {
+		return fmt.Errorf("flatten: memory region [%d,%d) outside buffer of %d bytes",
+			lo, hi+op.length, len(r.mem))
+	}
+	// end is where the previous region ended (-1: no region yet); a run
+	// starting there coalesces with it.
+	s, mem, flat, k, pieces, end := r.s, r.mem, r.flat, r.k, r.pieces, int64(-1)
+	if r.has {
+		end = r.cur.Off + r.cur.Len
+	}
+	for ; j <= last; j++ {
+		off, ln := base+op.off+j*op.stride, op.length
+		if s < r.lo {
+			off += r.lo - s
+			ln -= r.lo - s
+		}
+		if e := s + op.length; e > r.hi {
+			ln -= e - r.hi
+		}
+		switch {
+		case flat == nil:
+		case r.gather:
+			copy(flat[k:k+ln], mem[off:off+ln])
+		default:
+			copy(mem[off:off+ln], flat[k:k+ln])
+		}
+		if off != end {
+			pieces++
+		}
+		k, end, s = k+ln, off+ln, s+op.length
+	}
+	r.s, r.k, r.pieces = s, k, pieces
+	r.cur, r.has = Region{Off: end}, true
 	return nil
 }

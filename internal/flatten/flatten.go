@@ -6,7 +6,16 @@
 // resumption), optionally coalescing adjacent regions — the optimization
 // the paper's server-side processing functions perform. Dual walks a file
 // stream and a memory stream in lockstep, producing (fileOff, memOff, n)
-// triples; every noncontiguous access method is built on it.
+// triples; the mpiio posix, sieving, two-phase and list methods build
+// their accesses on it.
+//
+// Compile turns a loop into a Program whose Replay yields the same
+// coalesced regions as Iter without walking the tree, and whose Gather
+// and Scatter copy a stream window between a described buffer and a
+// contiguous one. Datatype I/O runs on programs: servers replay the
+// file view, clients pack and unpack with both programs. Iter and Dual
+// remain the fallback when Compile declines, and the oracle the
+// programs are tested against.
 package flatten
 
 import (

@@ -241,11 +241,17 @@ func (f *File) listIO(env transport.Env, pos, nbytes int64, buf []byte, memType 
 func (f *File) dtypeIO(env transport.Env, buf []byte, memType *datatype.Type, memCount int, pos int64, write bool) error {
 	// Model the per-operation type-conversion cost called out in §3.2.
 	env.Compute(time.Duration(f.floop.NumNodes()) * 2 * time.Microsecond)
+	if memType != f.memType {
+		f.memType, f.mloop = memType, dataloop.FromType(memType)
+		f.mprog = flatten.Compile(f.mloop)
+	}
 	a := &pvfs.DtypeAccess{
 		Mem:        buf,
-		MemLoop:    dataloop.FromType(memType),
+		MemLoop:    f.mloop,
 		MemCount:   int64(memCount),
 		FileLoop:   f.floop,
+		FileProg:   f.fprog,
+		MemProg:    f.mprog,
 		Disp:       f.disp,
 		Pos:        pos,
 		NoCoalesce: f.hints.DtypeNoCoalesce,

@@ -109,6 +109,14 @@ type File struct {
 	etype    *datatype.Type
 	filetype *datatype.Type
 	floop    *dataloop.Loop
+	fprog    *flatten.Program // floop compiled once per view; nil if declined
+
+	// The last memory type datatype I/O converted, with its loop and
+	// program: an application repeating one memory type converts and
+	// compiles it once.
+	memType *datatype.Type
+	mloop   *dataloop.Loop
+	mprog   *flatten.Program
 
 	// ptr is the individual file pointer, in etypes (see pointer.go).
 	ptr int64
@@ -175,6 +183,7 @@ func (f *File) SetView(disp int64, etype, filetype *datatype.Type) error {
 	f.etype = etype
 	f.filetype = filetype
 	f.floop = dataloop.FromType(filetype)
+	f.fprog = flatten.Compile(f.floop)
 	f.ptr = 0 // MPI_File_set_view resets the individual pointer
 	return nil
 }

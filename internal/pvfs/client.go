@@ -1683,8 +1683,12 @@ type DtypeAccess struct {
 	MemLoop  *dataloop.Loop
 	MemCount int64
 	FileLoop *dataloop.Loop
-	Disp     int64 // byte displacement of file tile 0
-	Pos      int64 // starting stream offset within the tiled file view
+	// FileProg and MemProg may carry flatten.Compile of FileLoop and
+	// MemLoop, so a caller that repeats an access compiles each loop
+	// once; a nil program is compiled for the operation.
+	FileProg, MemProg *flatten.Program
+	Disp              int64 // byte displacement of file tile 0
+	Pos               int64 // starting stream offset within the tiled file view
 	// NoCoalesce disables adjacent-region coalescing on both client and
 	// server (ablation A2).
 	NoCoalesce bool
@@ -1706,6 +1710,132 @@ func (a *DtypeAccess) validate() (nbytes, tiles int64, err error) {
 	}
 	tiles = (a.Pos + nbytes + a.FileLoop.Size - 1) / a.FileLoop.Size
 	return nbytes, tiles, nil
+}
+
+// programs returns the compiled file and memory programs the client
+// packs and unpacks with, or nils where the server also keeps the
+// interpreted walk: under NoCoalesce (ablation A2), or when
+// flatten.Compile declines either loop.
+func (a *DtypeAccess) programs() (file, mem *flatten.Program) {
+	if a.NoCoalesce {
+		return nil, nil
+	}
+	file, mem = a.FileProg, a.MemProg
+	if file == nil {
+		file = flatten.Compile(a.FileLoop)
+	}
+	if mem == nil {
+		mem = flatten.Compile(a.MemLoop)
+	}
+	if file == nil || mem == nil {
+		return nil, nil
+	}
+	return file, mem
+}
+
+// dual returns the interpreted file-window and memory walks of a.
+func (a *DtypeAccess) dual(tiles, nbytes int64) (file, mem flatten.Source) {
+	return flatten.NewIterAt(a.FileLoop, tiles, a.Disp, a.Pos, nbytes, !a.NoCoalesce),
+		flatten.NewIter(a.MemLoop, a.MemCount, 0, !a.NoCoalesce)
+}
+
+// stripWindows replays the compiled file window of a and cuts each
+// coalesced run at strip boundaries, calling fn in stream order with the
+// piece's server and its window [pos, pos+n) of the memory stream.
+func (f *File) stripWindows(a *DtypeAccess, fprog *flatten.Program, tiles, nbytes int64, fn func(server int, pos, n int64) error) error {
+	var pos int64
+	return fprog.Replay(tiles, a.Disp, a.Pos, nbytes, func(off, n int64) error {
+		var err error
+		f.layout.Split(off, n, func(p striping.Piece) bool {
+			err = fn(p.Server, pos+p.Logical-off, p.Len)
+			return err == nil
+		})
+		pos += n
+		return err
+	})
+}
+
+// packDtype gathers a.Mem into one payload per server, in stream order,
+// and reports the piece count: file regions cut at memory-region and
+// strip boundaries, the unit the client's job building is charged by.
+// With programs it sizes every payload first and fills it with one
+// Gather per strip piece; with nils it walks Dual.
+func (f *File) packDtype(a *DtypeAccess, fprog, mprog *flatten.Program, tiles, nbytes int64) ([][]byte, int64, error) {
+	bufs := make([][]byte, f.layout.NServers)
+	if fprog == nil {
+		file, mem := a.dual(tiles, nbytes)
+		pieces, err := f.walkMapped(file, mem, func(server int, memOff, n int64) error {
+			if memOff < 0 || memOff+n > int64(len(a.Mem)) {
+				return fmt.Errorf("pvfs: memory region [%d,%d) outside buffer", memOff, memOff+n)
+			}
+			bufs[server] = append(bufs[server], a.Mem[memOff:memOff+n]...)
+			return nil
+		})
+		return bufs, pieces, err
+	}
+	sizes := make([]int64, f.layout.NServers)
+	if err := f.stripWindows(a, fprog, tiles, nbytes, func(server int, _, n int64) error {
+		sizes[server] += n
+		return nil
+	}); err != nil {
+		return nil, 0, err
+	}
+	payload := make([]byte, nbytes)
+	for s, n := range sizes {
+		if n > 0 {
+			bufs[s], payload = payload[:0:n], payload[n:]
+		}
+	}
+	var pieces int64
+	err := f.stripWindows(a, fprog, tiles, nbytes, func(server int, pos, n int64) error {
+		b := bufs[server]
+		k := int64(len(b))
+		got, err := mprog.Gather(b[k:k+n], a.Mem, a.MemCount, 0, pos, n)
+		bufs[server] = b[:k+n]
+		pieces += got
+		return err
+	})
+	return bufs, pieces, err
+}
+
+// unpackDtype scatters the per-server reply payloads into a.Mem in
+// stream order, consuming bufs, and reports the same piece count as
+// packDtype. With nil bufs it only counts the pieces (checking memory
+// bounds), which prices the scatter before the replies exist.
+func (f *File) unpackDtype(a *DtypeAccess, fprog, mprog *flatten.Program, tiles, nbytes int64, bufs [][]byte) (int64, error) {
+	take := func(server int, n int64) ([]byte, error) {
+		if bufs == nil {
+			return nil, nil
+		}
+		b := bufs[server]
+		if n > int64(len(b)) {
+			return nil, fmt.Errorf("pvfs: server %d returned short data", server)
+		}
+		bufs[server] = b[n:]
+		return b[:n], nil
+	}
+	if fprog == nil {
+		file, mem := a.dual(tiles, nbytes)
+		return f.walkMapped(file, mem, func(server int, memOff, n int64) error {
+			if memOff < 0 || memOff+n > int64(len(a.Mem)) {
+				return fmt.Errorf("pvfs: memory region [%d,%d) outside buffer", memOff, memOff+n)
+			}
+			src, err := take(server, n)
+			copy(a.Mem[memOff:memOff+n], src)
+			return err
+		})
+	}
+	var pieces int64
+	err := f.stripWindows(a, fprog, tiles, nbytes, func(server int, pos, n int64) error {
+		src, err := take(server, n)
+		if err != nil {
+			return err
+		}
+		got, err := mprog.Scatter(a.Mem, src, a.MemCount, 0, pos, n)
+		pieces += got
+		return err
+	})
+	return pieces, err
 }
 
 // ReadDtype performs a datatype read: one logical operation; the file
@@ -1758,84 +1888,48 @@ func (f *File) dtypeOp(env transport.Env, a *DtypeAccess, write bool) error {
 			Data:       data,
 		}, write)
 	}
-	newDual := func() (flatten.Source, flatten.Source) {
-		return flatten.NewIterAt(a.FileLoop, tiles, a.Disp, a.Pos, nbytes, !a.NoCoalesce),
-			flatten.NewIter(a.MemLoop, a.MemCount, 0, !a.NoCoalesce)
-	}
 	servers := make([]int, f.layout.NServers)
 	for i := range servers {
 		servers[i] = i
 	}
+	fprog, mprog := a.programs()
+	var pieces int64
 	if write {
-		bufs := make([][]byte, f.layout.NServers)
-		file, mem := newDual()
-		pieces, err := f.walkMapped(file, mem, func(server int, memOff, n int64) error {
-			if memOff < 0 || memOff+n > int64(len(a.Mem)) {
-				return fmt.Errorf("pvfs: memory region [%d,%d) outside buffer", memOff, memOff+n)
-			}
-			bufs[server] = append(bufs[server], a.Mem[memOff:memOff+n]...)
-			return nil
-		})
+		var bufs [][]byte
+		bufs, pieces, err = f.packDtype(a, fprog, mprog, tiles, nbytes)
 		if err != nil {
 			return err
 		}
 		// The job/access building overlaps the transfer: real PVFS
 		// clients stream accesses as they are generated.
 		cpu := f.c.cost.PerRegionClient * time.Duration(pieces)
-		if err := env.Overlap(cpu, func() error {
+		err = env.Overlap(func() time.Duration { return cpu }, func() error {
 			return f.c.writeAll(env, servers, bufs, mkReq, tag.Seq)
-		}); err != nil {
-			return err
-		}
-		if st := f.c.stats(); st != nil {
-			st.AddOps(1)
-			st.AddAccessed(nbytes)
-			st.AddRegions(pieces)
-		}
-		f.c.endOp(env, o, nbytes)
-		return nil
-	}
-	// Pre-count pieces so the scatter's job-build CPU can be charged
-	// overlapped with the transfer: real clients scatter each flow
-	// buffer as it arrives.
-	var pieces int64
-	{
-		file, mem := newDual()
-		var err error
-		pieces, err = f.walkMapped(file, mem, func(int, int64, int64) error { return nil })
-		if err != nil {
-			return err
-		}
-	}
-	cpu := f.c.cost.PerRegionClient * time.Duration(pieces)
-	err = env.Overlap(cpu, func() error {
-		resps, err := f.sendRecvRead(env, a.Disp+a.Pos, servers, func(g, m int) []byte {
-			return mkReq(g, m, nil)
-		}, tag.Seq)
-		if err != nil {
-			return err
-		}
-		bufs := make([][]byte, f.layout.NServers)
-		cursors := make([]int64, f.layout.NServers)
-		for i, s := range servers {
-			bufs[s] = resps[i].Data
-		}
-		file, mem := newDual()
-		_, err = f.walkMapped(file, mem, func(server int, memOff, n int64) error {
-			if memOff < 0 || memOff+n > int64(len(a.Mem)) {
-				return fmt.Errorf("pvfs: memory region [%d,%d) outside buffer", memOff, memOff+n)
-			}
-			b := bufs[server]
-			cur := cursors[server]
-			if cur+n > int64(len(b)) {
-				return fmt.Errorf("pvfs: server %d returned short data", server)
-			}
-			copy(a.Mem[memOff:memOff+n], b[cur:cur+n])
-			cursors[server] = cur + n
-			return nil
 		})
-		return err
-	})
+	} else {
+		// The scatter's job-build CPU overlaps the transfer too: real
+		// clients scatter each flow buffer as it arrives. Pricing it needs
+		// the piece count before the replies exist, so only an environment
+		// that models CPU time counts the pieces ahead.
+		err = env.Overlap(func() time.Duration {
+			// A bad memory run fails the scatter too, which reports it.
+			n, _ := f.unpackDtype(a, fprog, mprog, tiles, nbytes, nil)
+			return f.c.cost.PerRegionClient * time.Duration(n)
+		}, func() error {
+			resps, err := f.sendRecvRead(env, a.Disp+a.Pos, servers, func(g, m int) []byte {
+				return mkReq(g, m, nil)
+			}, tag.Seq)
+			if err != nil {
+				return err
+			}
+			bufs := make([][]byte, f.layout.NServers)
+			for i, s := range servers {
+				bufs[s] = resps[i].Data
+			}
+			pieces, err = f.unpackDtype(a, fprog, mprog, tiles, nbytes, bufs)
+			return err
+		})
+	}
 	if err != nil {
 		return err
 	}

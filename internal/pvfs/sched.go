@@ -23,8 +23,10 @@ const DefaultSieveGapBytes = 64 * 1024
 // operation's runs shrink toward cell size, one scalar access plus a
 // scatter/gather copy through pooled scratch moves the same bytes
 // faster than a long iovec list. Runs averaging at or above the floor
-// (row-sized and larger) dispatch vectored; smaller ones stage.
-const vecMinRunBytes = 512
+// (row-sized and larger) dispatch vectored; smaller ones stage. 1024 B
+// is the crossover the repository benchmark measures on file-backed
+// objects (storage.vec_crossover_bytes); at 512 B staging still wins.
+const vecMinRunBytes = 1024
 
 // ioSpan is one physical run a request produces: n bytes at off on the
 // server's local object, occupying [pos, pos+n) of the request-order

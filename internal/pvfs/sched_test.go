@@ -341,13 +341,13 @@ func TestVectoredBatchByteIdentity(t *testing.T) {
 // vectored. Bytes must be identical either way.
 func TestVecMinRunFloor(t *testing.T) {
 	env := transport.NewRealEnv()
-	// Writes: adjacent runs averaging 100 bytes stay scalar under a
-	// 512-byte floor; runs of 1024 bytes clear it.
+	// Writes: adjacent runs averaging 512 bytes — half the floor, and
+	// the old floor — stay scalar; runs at the floor clear it.
 	runWrites := func(runLen int, st storage.Store) int64 {
 		payload := patterned(3 * runLen)
 		var is iostats.Stats
 		d := testSched(true, 0, &is)
-		d.vecMin = 512
+		d.vecMin = vecMinRunBytes
 		for i := 0; i < 3; i++ {
 			d.add(int64(1000+i*runLen), int64(runLen), int64(i*runLen), payload[i*runLen:(i+1)*runLen])
 		}
@@ -357,15 +357,15 @@ func TestVecMinRunFloor(t *testing.T) {
 		return is.Snapshot().DiskVecOps
 	}
 	small, large := storage.NewMem(), storage.NewMem()
-	if v := runWrites(100, small); v != 0 {
+	if v := runWrites(vecMinRunBytes/2, small); v != 0 {
 		t.Fatalf("sub-floor writes dispatched %d vec ops, want 0", v)
 	}
-	if v := runWrites(1024, large); v != 1 {
+	if v := runWrites(vecMinRunBytes, large); v != 1 {
 		t.Fatalf("above-floor writes dispatched %d vec ops, want 1", v)
 	}
-	got := make([]byte, 300)
+	got := make([]byte, 3*vecMinRunBytes/2)
 	small.ReadAt(got, 1000)
-	if !bytes.Equal(got, patterned(300)) {
+	if !bytes.Equal(got, patterned(len(got))) {
 		t.Fatal("sub-floor scalar write corrupted bytes")
 	}
 
@@ -389,17 +389,17 @@ func TestVecMinRunFloor(t *testing.T) {
 		}
 		return dst, is.Snapshot().DiskVecOps
 	}
-	subFloor, nSub := runReads(100, 512)
-	noFloor, nNo := runReads(100, 0)
+	subFloor, nSub := runReads(vecMinRunBytes-1, vecMinRunBytes)
+	noFloor, nNo := runReads(vecMinRunBytes-1, 0)
 	if nSub != 0 || nNo != 1 {
 		t.Fatalf("vec ops = %d/%d, want 0 (sub-floor) / 1 (no floor)", nSub, nNo)
 	}
 	if !bytes.Equal(subFloor, noFloor) {
 		t.Fatal("sub-floor scalar read diverged from vectored read")
 	}
-	if above, n := runReads(1024, 512); n != 1 {
-		t.Fatalf("above-floor reads dispatched %d vec ops, want 1", n)
-	} else if len(above) != 3*1024 {
+	if above, n := runReads(vecMinRunBytes, vecMinRunBytes); n != 1 {
+		t.Fatalf("at-floor reads dispatched %d vec ops, want 1", n)
+	} else if len(above) != 3*vecMinRunBytes {
 		t.Fatalf("above-floor read returned %d bytes", len(above))
 	}
 }

@@ -423,6 +423,22 @@ func BenchmarkDtypeServerWritePath(b *testing.B) {
 	}
 }
 
+// BenchmarkDtypeClientPack measures the client-side cost of packing one
+// flash_write operation's payloads from compiled programs (run with
+// -benchmem to see the per-operation allocation count).
+func BenchmarkDtypeClientPack(b *testing.B) {
+	f, a, nbytes, tiles := flashPack()
+	fprog, mprog := a.programs()
+	b.SetBytes(nbytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := f.packDtype(a, fprog, mprog, tiles, nbytes); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDtypeServerHotPath measures the server-side cost of one
 // cached-loop noncontiguous dtype read (run with -benchmem to see the
 // per-request allocation count).

@@ -143,9 +143,10 @@ func (e *SimEnv) DiskUse(d time.Duration) {
 	e.node.Disk.Use(e.proc, d)
 }
 
-// Overlap implements Env: d of CPU work runs in a sibling process while
-// fn executes in this one; Overlap returns after both complete.
-func (e *SimEnv) Overlap(d time.Duration, fn func() error) error {
+// Overlap implements Env: cost() of CPU work runs in a sibling process
+// while fn executes in this one; Overlap returns after both complete.
+func (e *SimEnv) Overlap(cost func() time.Duration, fn func() error) error {
+	d := cost()
 	if d <= 0 {
 		return fn()
 	}

@@ -30,11 +30,12 @@ type Env interface {
 	// DiskUse models disk occupancy on this node. No-op outside
 	// simulation.
 	DiskUse(d time.Duration)
-	// Overlap runs fn while d of CPU work proceeds concurrently on this
-	// node (modeling pipelined processing overlapped with I/O); it
+	// Overlap runs fn while cost() of CPU work proceeds concurrently on
+	// this node (modeling pipelined processing overlapped with I/O); it
 	// returns fn's error after both finish. Outside simulation it just
-	// runs fn.
-	Overlap(d time.Duration, fn func() error) error
+	// runs fn and never calls cost, so a cost that takes its own pass
+	// over the data is paid only where CPU time is modeled.
+	Overlap(cost func() time.Duration, fn func() error) error
 	// OverlapDisk runs fn while d of disk occupancy proceeds concurrently
 	// on this node (modeling the next flow segment being read or written
 	// while the current one is on the wire); it returns fn's error after
@@ -143,7 +144,7 @@ func (e *RealEnv) Compute(d time.Duration) {}
 func (e *RealEnv) DiskUse(d time.Duration) {}
 
 // Overlap implements Env (no modeled cost: just runs fn).
-func (e *RealEnv) Overlap(d time.Duration, fn func() error) error { return fn() }
+func (e *RealEnv) Overlap(cost func() time.Duration, fn func() error) error { return fn() }
 
 // OverlapDisk implements Env (no modeled cost: just runs fn).
 func (e *RealEnv) OverlapDisk(d time.Duration, fn func() error) error { return fn() }

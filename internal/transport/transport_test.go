@@ -386,7 +386,7 @@ func TestSimOverlap(t *testing.T) {
 	var elapsed time.Duration
 	net.Spawn("w", node, func(env Env) {
 		start := env.Now()
-		err := env.Overlap(100*time.Millisecond, func() error {
+		err := env.Overlap(func() time.Duration { return 100 * time.Millisecond }, func() error {
 			env.Sleep(60 * time.Millisecond)
 			return nil
 		})
@@ -404,9 +404,11 @@ func TestSimOverlap(t *testing.T) {
 }
 
 func TestRealEnvOverlapRunsFn(t *testing.T) {
-	ran := false
-	err := NewRealEnv().Overlap(time.Hour, func() error { ran = true; return nil })
-	if err != nil || !ran {
-		t.Fatalf("ran=%v err=%v", ran, err)
+	// A real environment models no CPU time, so it never prices it.
+	ran, priced := false, false
+	err := NewRealEnv().Overlap(func() time.Duration { priced = true; return time.Hour },
+		func() error { ran = true; return nil })
+	if err != nil || !ran || priced {
+		t.Fatalf("ran=%v priced=%v err=%v", ran, priced, err)
 	}
 }
