@@ -276,16 +276,14 @@ func NewCluster(cfg Config) *Cluster {
 		serverNodes[i] = c.net.NewNode()
 	}
 	c.serverNodes = serverNodes
-	k := cfg.Replicas
-	if k < 1 {
-		k = 1
-	}
+	k := max(cfg.Replicas, 1)
 	if cfg.Servers%k != 0 {
 		panic(fmt.Sprintf("bench: %d servers not divisible into replica groups of %d", cfg.Servers, k))
 	}
 	// Files stripe over replica GROUPS, not physical servers: the
 	// metadata servers hand out layouts at most groups wide.
-	groups := cfg.Servers / k
+	placement := replica.NewMap(cfg.Servers/k, k)
+	groups := placement.Groups()
 	ms := cfg.MetaShards
 	if ms < 1 {
 		ms = 1
@@ -308,16 +306,11 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	for i := range serverNodes {
 		srv := pvfs.NewServer(c.net, c.addrs[i], i, cfg.Cost)
-		if k > 1 {
-			// Group siblings, for re-replication after a kill: a wiped
-			// member restarts, rebuilds its objects from the first
-			// reachable peer, then rejoins service.
-			g := i / k
-			for j := 0; j < k; j++ {
-				if p := g*k + j; p != i {
-					srv.ReplicaPeers = append(srv.ReplicaPeers, c.addrs[p])
-				}
-			}
+		// Group siblings, for re-replication after a kill: a wiped
+		// member restarts, rebuilds its objects from the first reachable
+		// peer, then rejoins service. A group of one has none.
+		for _, p := range placement.Peers(i) {
+			srv.ReplicaPeers = append(srv.ReplicaPeers, c.addrs[p])
 		}
 		srv.DisableLoopCache = !cfg.LoopCache
 		// Streamed transfers segment at the modeled NIC's flow-control

@@ -106,9 +106,9 @@ type Client struct {
 	// serverAddrs is then k consecutive physical members per logical
 	// stripe server, every write fans out to all members of its group,
 	// and reads are served by any live member. 0 or 1 means
-	// unreplicated — byte-identical to the pre-replication client. Set
-	// before the first operation, identically on every client of the
-	// cluster.
+	// unreplicated: every logical server is a group of one, served by
+	// the same exchange path. Set before the first operation,
+	// identically on every client of the cluster.
 	Replicas int
 	// ReplicaPicker chooses which member serves a replicated read (nil
 	// = replica.Rendezvous{}); failover rotates from its choice.
@@ -184,12 +184,7 @@ func NewShardedClient(net transport.Network, metaAddrs []string, serverAddrs []s
 }
 
 // k reports the replica group size (always >= 1).
-func (c *Client) k() int {
-	if c.Replicas > 1 {
-		return c.Replicas
-	}
-	return 1
-}
+func (c *Client) k() int { return max(c.Replicas, 1) }
 
 func (c *Client) picker() replica.Picker {
 	if c.ReplicaPicker != nil {
@@ -327,6 +322,24 @@ func (c *Client) metaDial(env transport.Env, s int) (transport.Conn, error) {
 }
 
 func (c *Client) metaCall(env transport.Env, s int, req []byte) (*wire.MetaResp, error) {
+	v, err := c.metaExchange(env, s, req, wire.MTMetaResp, 0)
+	if err != nil {
+		return nil, err
+	}
+	r := v.(*wire.MetaResp)
+	if !r.OK {
+		return nil, errors.New("pvfs: " + r.Err)
+	}
+	return r, nil
+}
+
+// metaExchange sends req on shard s's connection and receives until the
+// response of type want arrives (each receive bounded by timeout; 0
+// blocks), stashing any lease traffic that crosses it on the wire.
+// Revokes are deferred rather than handled here: servicing one means
+// flushing and releasing, and the nested release exchange would steal
+// this exchange's response.
+func (c *Client) metaExchange(env transport.Env, s int, req []byte, want wire.MsgType, timeout time.Duration) (any, error) {
 	conn, err := c.metaDial(env, s)
 	if err != nil {
 		return nil, err
@@ -334,42 +347,37 @@ func (c *Client) metaCall(env transport.Env, s int, req []byte) (*wire.MetaResp,
 	if err := conn.Send(env, req); err != nil {
 		return nil, err
 	}
-	r, err := c.awaitMetaResp(env, conn)
-	if err != nil {
-		return nil, err
-	}
-	if !r.OK {
-		return nil, errors.New("pvfs: " + r.Err)
-	}
-	return r, nil
-}
-
-// awaitMetaResp receives on one shard's connection until the exchange's
-// MetaResp arrives, stashing any lease traffic that crosses it on the
-// wire. Revokes are deferred rather than handled here: servicing one
-// means flushing and releasing, and the nested release exchange would
-// steal this exchange's response.
-func (c *Client) awaitMetaResp(env transport.Env, conn transport.Conn) (*wire.MetaResp, error) {
 	for {
-		raw, err := conn.Recv(env)
+		raw, err := transport.RecvTimeout(env, conn, timeout)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("pvfs: meta shard %d: %w", s, err)
 		}
 		t, v, err := wire.DecodeMsg(raw)
 		if err != nil {
 			return nil, err
 		}
-		switch t {
-		case wire.MTMetaResp:
-			return v.(*wire.MetaResp), nil
-		case wire.MTLockGrant:
-			c.pendGrants = append(c.pendGrants, v.(*wire.LockGrant))
-		case wire.MTLeaseRevoke:
-			c.pendRevokes = append(c.pendRevokes, v.(*wire.LeaseRevoke))
-		default:
-			return nil, errors.New("pvfs: unexpected metadata response " + t.String())
+		if t == want {
+			return v, nil
+		}
+		if !c.stashLease(t, v) {
+			return nil, fmt.Errorf("pvfs: meta shard %d: unexpected response %s, want %s", s, t, want)
 		}
 	}
+}
+
+// stashLease parks lease traffic that arrived on a metadata connection
+// during another exchange, for the lock wait loop or the next safe
+// point, and reports whether the message was lease traffic.
+func (c *Client) stashLease(t wire.MsgType, v any) bool {
+	switch t {
+	case wire.MTLockGrant:
+		c.pendGrants = append(c.pendGrants, v.(*wire.LockGrant))
+	case wire.MTLeaseRevoke:
+		c.pendRevokes = append(c.pendRevokes, v.(*wire.LeaseRevoke))
+	default:
+		return false
+	}
+	return true
 }
 
 // lockCall sends one lock-service request on shard s's connection and
@@ -443,12 +451,7 @@ func (c *Client) lockCall(env transport.Env, s int, req []byte) (*wire.LockGrant
 		if err != nil {
 			return nil, err
 		}
-		switch t {
-		case wire.MTLockGrant:
-			c.pendGrants = append(c.pendGrants, v.(*wire.LockGrant))
-		case wire.MTLeaseRevoke:
-			c.pendRevokes = append(c.pendRevokes, v.(*wire.LeaseRevoke))
-		default:
+		if !c.stashLease(t, v) {
 			return nil, errors.New("pvfs: unexpected response " + t.String() + " while waiting for a lock grant")
 		}
 	}
@@ -528,15 +531,11 @@ func (c *Client) Remove(env transport.Env, name string) error {
 		return err
 	}
 	tag := c.tag()
-	groups := make([]int, f.layout.NServers)
-	for i := range groups {
-		groups[i] = i
-	}
 	// Removal mutates every replica member, so it rides the write
 	// fan-out path (with no payload to carry).
-	return c.writeAll(env, groups, make([][]byte, f.layout.NServers),
+	return c.writeGroups(env, f.allGroups(), make([][]byte, f.layout.NServers),
 		func(g, m int, _ []byte) []byte {
-			return wire.EncodeRemoveObj(&wire.RemoveObjReq{Tag: tag, Layout: f.wireLayoutAt(g, m)})
+			return wire.EncodeRemoveObj(&wire.RemoveObjReq{Tag: tag, Layout: f.wireLayout(g, m)})
 		}, tag.Seq)
 }
 
@@ -546,50 +545,18 @@ func (c *Client) Remove(env transport.Env, name string) error {
 func (c *Client) ListNames(env transport.Env) ([]string, error) {
 	var names []string
 	for s := 0; s < c.shards.N(); s++ {
-		part, err := c.listShard(env, s)
+		v, err := c.metaExchange(env, s, wire.EncodeListNames(), wire.MTListResp, 0)
 		if err != nil {
 			return nil, err
 		}
-		names = append(names, part...)
+		r := v.(*wire.ListResp)
+		if !r.OK {
+			return nil, errors.New("pvfs: " + r.Err)
+		}
+		names = append(names, r.Names...)
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// listShard fetches one shard's namespace listing, stashing any lease
-// traffic that crosses the response on the wire (like awaitMetaResp).
-func (c *Client) listShard(env transport.Env, s int) ([]string, error) {
-	conn, err := c.metaDial(env, s)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.Send(env, wire.EncodeListNames()); err != nil {
-		return nil, err
-	}
-	for {
-		raw, err := conn.Recv(env)
-		if err != nil {
-			return nil, err
-		}
-		t, v, err := wire.DecodeMsg(raw)
-		if err != nil {
-			return nil, err
-		}
-		switch t {
-		case wire.MTListResp:
-			r := v.(*wire.ListResp)
-			if !r.OK {
-				return nil, errors.New("pvfs: " + r.Err)
-			}
-			return r.Names, nil
-		case wire.MTLockGrant:
-			c.pendGrants = append(c.pendGrants, v.(*wire.LockGrant))
-		case wire.MTLeaseRevoke:
-			c.pendRevokes = append(c.pendRevokes, v.(*wire.LeaseRevoke))
-		default:
-			return nil, errors.New("pvfs: unexpected listing response " + t.String())
-		}
-	}
 }
 
 // FileLock is a held byte-range lock, returned by Lock and surrendered
@@ -649,16 +616,13 @@ func (f *File) Cost() CostModel { return f.c.cost }
 // Layout reports the striping layout.
 func (f *File) Layout() striping.Layout { return f.layout }
 
-func (f *File) wireLayout(serverIdx int) wire.FileLayout {
-	return f.wireLayoutAt(serverIdx, 0)
-}
-
-// wireLayoutAt names one replica member's object: the file's layout
-// plus which logical stripe server this request is for and which group
-// member it is addressed to. The object a member stores is identical
-// across its group (same ServerIdx, same striping math), which is what
-// makes any member able to serve a group's reads.
-func (f *File) wireLayoutAt(serverIdx, member int) wire.FileLayout {
+// wireLayout names one replica member's object: the file's layout plus
+// which logical stripe server (group) this request is for and which
+// group member it is addressed to. The object a member stores is
+// identical across its group (same ServerIdx, same striping math), which
+// is what makes any member able to serve a group's reads; an
+// unreplicated file's server is member 0 of a group of one.
+func (f *File) wireLayout(serverIdx, member int) wire.FileLayout {
 	return wire.FileLayout{
 		Handle:    f.handle,
 		StripSize: f.layout.StripSize,
@@ -676,104 +640,78 @@ func (c *Client) phys(serverIdx, member int) int {
 	return serverIdx*c.k() + member
 }
 
-// sendRecv sends one request per server and collects the responses, in
-// order. Any server-reported error aborts. dataLens (optional) reports
-// how many trailing bytes of each request are data payload, so the
-// request-description statistics exclude them (and replayed-byte
-// accounting includes them). seq is the operation tag's sequence, used
-// to match responses to this request generation. Each server's exchange
-// runs in its own sibling thread (send and receive alike), so a large
-// request serializing onto one server's wire — or a streamed response
-// draining from it — does not stall the others.
-func (c *Client) sendRecv(env transport.Env, servers []int, reqs [][]byte, dataLens []int64, seq uint64) ([]*wire.IOResp, error) {
-	// Pre-dial best-effort: a server that is down right now is left for
-	// the per-server retry loop, which redials with backoff.
-	for _, s := range servers {
-		_, _ = c.conn(env, s)
-	}
-	descLen := func(i int) int64 {
-		desc := int64(len(reqs[i]))
-		if dataLens != nil {
-			desc -= dataLens[i]
-		}
-		return desc
-	}
-	payLen := func(i int) int64 {
-		if dataLens != nil {
-			return dataLens[i]
-		}
-		return 0
-	}
-	out := make([]*wire.IOResp, len(servers))
-	if len(servers) == 1 {
-		r, err := c.exchange(env, servers[0], reqs[0], descLen(0), payLen(0), seq)
-		if err != nil {
-			return nil, err
-		}
-		out[0] = r
-		return out, nil
-	}
-	fns := make([]func(transport.Env) error, len(servers))
-	for i, s := range servers {
-		i, s := i, s
-		fns[i] = func(env transport.Env) error {
-			r, err := c.exchange(env, s, reqs[i], descLen(i), payLen(i), seq)
-			if err != nil {
-				return err
-			}
-			out[i] = r
-			return nil
-		}
-	}
-	if err := env.Parallel("pvfs-sendrecv", fns...); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+// attempt is one try of an exchange against physical server phys,
+// member m of its replica group, under the attempt span sp. It reports
+// the payload bytes a retry would resend.
+type attempt func(env transport.Env, sp *trace.Span, m, phys int) (replay int64, err error)
 
-// exchange performs one request/response with server s, retrying per
-// c.Retry: on any retryable failure the (suspect) connection is
-// dropped, the client backs off, redials, and resends the identical
-// frame. payLen is the request's trailing payload length, counted as
-// replayed bytes on each resend.
-func (c *Client) exchange(env transport.Env, s int, req []byte, descLen, payLen int64, seq uint64) (*wire.IOResp, error) {
-	return c.exchangeN(env, s, req, descLen, payLen, seq, 0)
-}
-
-// exchangeN is exchange with an explicit attempt budget (0 = the retry
-// policy's); the write fan-out path probes suspected-dead members with
-// a single attempt instead of the full ladder.
-func (c *Client) exchangeN(env transport.Env, s int, req []byte, descLen, payLen int64, seq uint64, attempts int) (*wire.IOResp, error) {
+// exchange is the client's one retry ladder: it runs one request with
+// replica group g under c.Retry (DESIGN.md §11, §16). Attempt a goes to
+// member start+(a-1) mod n, wrapping within the group: a read passes
+// n = k and fails over member by member, a write passes n = 1 and
+// retries its own member. An unreplicated file is a group of one, so
+// both reduce to resending to its one server. On a retryable failure
+// (timeout, reset, a corrupted exchange) the connection is dropped, the
+// member marked suspect, and the client backs off before the next
+// attempt; success clears the suspicion. A server-level rejection ends
+// the exchange after n consecutive ones: the servers are answering, and
+// every answer is no. attempts overrides the policy's budget when
+// nonzero (never below n). first is the member the caller preferred;
+// success at another member counts a degraded read.
+func (c *Client) exchange(env transport.Env, span string, g, first, start, n, attempts int, try attempt) error {
 	if attempts < 1 {
 		attempts = c.Retry.Attempts
 	}
-	if attempts < 1 {
-		attempts = 1
+	if attempts < n {
+		attempts = n
 	}
+	k := c.k()
+	lo, _ := c.picker().(interface{ Observe(phys int, delta int64) })
 	backoff := c.Retry.Backoff
 	var firstFail time.Duration
+	sawFail := false
+	rejected := 0 // consecutive server-level rejections
 	for a := 1; ; a++ {
-		asp := c.Tracer.Begin(env, c.track(), "attempt", c.opSpan.SID())
-		asp.SetAttr("server", int64(s))
-		asp.SetAttr("try", int64(a))
-		r, err := c.tryExchange(env, s, req, descLen, seq)
-		asp.End(env)
+		m := (start + (a-1)%n) % k
+		phys := c.phys(g, m)
+		sp := c.Tracer.Begin(env, c.track(), span, c.opSpan.SID())
+		sp.SetAttr("server", int64(phys))
+		sp.SetAttr("try", int64(a))
+		if lo != nil {
+			lo.Observe(phys, 1)
+		}
+		replay, err := try(env, sp, m, phys)
+		if lo != nil {
+			lo.Observe(phys, -1)
+		}
+		sp.End(env)
 		if err == nil {
-			if a > 1 {
-				if st := c.stats(); st != nil {
+			c.clearSuspect(phys)
+			if st := c.stats(); st != nil {
+				if m != first {
+					st.AddDegradedRead()
+				}
+				if sawFail {
 					st.AddFailover(int64(env.Now() - firstFail))
 				}
 			}
-			return r, nil
+			return nil
 		}
 		if !retryable(err) {
-			return nil, err
+			rejected++
+			if rejected >= n {
+				return err
+			}
+			continue // the next member answers; no backoff, the server is up
 		}
-		c.dropConn(s) // suspect: mid-frame state, stale stream, or reset
+		rejected = 0
+		c.dropConn(phys) // mid-frame state, stale stream, or reset
+		c.markSuspect(env, phys)
 		if a >= attempts {
-			return nil, fmt.Errorf("pvfs: server %d: gave up after %d attempts: %w", s, a, err)
+			return fmt.Errorf("pvfs: server %d: gave up after %d attempts: %w", phys, a, err)
 		}
-		if a == 1 {
+		if !sawFail {
+			sawFail = true
 			firstFail = env.Now()
 		}
 		if st := c.stats(); st != nil {
@@ -781,7 +719,7 @@ func (c *Client) exchangeN(env transport.Env, s int, req []byte, descLen, payLen
 			if errors.Is(err, transport.ErrTimeout) {
 				st.AddTimeout()
 			}
-			st.AddReplayed(payLen)
+			st.AddReplayed(replay)
 		}
 		backoff = c.sleepBackoff(env, backoff)
 	}
@@ -920,233 +858,102 @@ func (c *Client) dropConn(s int) {
 	}
 }
 
-// sendRecvRead issues one read-class request per involved replica
-// group and collects the responses in group order. With k == 1 it is
-// exactly sendRecv; otherwise each group's request is served by any
-// live member (DESIGN.md §16). off keys the picker so repeated reads
-// of one region keep hitting the member whose page cache has it.
-// mkReq builds the frame addressed to one member.
-func (f *File) sendRecvRead(env transport.Env, off int64, groups []int, mkReq func(g, member int) []byte, seq uint64) ([]*wire.IOResp, error) {
+// readGroups issues one read-class request per involved replica group
+// and collects the responses in group order; each group's exchange runs
+// in its own sibling thread, so a streamed response draining from one
+// server does not stall the others. The picker names each group's
+// preferred member (off keys it, so repeated reads of one region keep
+// hitting the member whose page cache has it); suspected-dead members
+// are skipped up front, and each failed attempt rotates to the next
+// member, so failover from a freshly-dead server costs one failed
+// attempt, not a retry ladder. mkReq builds the frame addressed to one
+// member; seq is the operation tag's sequence, which matches responses
+// to this request generation.
+func (f *File) readGroups(env transport.Env, off int64, groups []int, mkReq func(g, member int) []byte, seq uint64) ([]*wire.IOResp, error) {
 	c := f.c
-	if c.k() == 1 {
-		reqs := make([][]byte, len(groups))
-		for i, g := range groups {
-			reqs[i] = mkReq(g, 0)
-		}
-		return c.sendRecv(env, groups, reqs, nil, seq)
-	}
+	k := c.k()
 	out := make([]*wire.IOResp, len(groups))
-	if len(groups) == 1 {
-		r, err := c.readAny(env, f.handle, off, groups[0], mkReq, seq)
-		if err != nil {
-			return nil, err
-		}
-		out[0] = r
-		return out, nil
-	}
 	fns := make([]func(transport.Env) error, len(groups))
 	for i, g := range groups {
+		first := c.picker().Pick(f.handle, off, g, k)
+		start := first
+		for j := 0; j < k; j++ {
+			if m := (first + j) % k; !c.isSuspect(env, c.phys(g, m)) {
+				start = m
+				break
+			}
+		}
+		// Pre-dial best-effort: a server that is down right now is left
+		// for the retry ladder, which redials with backoff.
+		_, _ = c.conn(env, c.phys(g, start))
 		i, g := i, g
 		fns[i] = func(env transport.Env) error {
-			r, err := c.readAny(env, f.handle, off, g, mkReq, seq)
-			if err != nil {
-				return err
-			}
-			out[i] = r
-			return nil
+			return c.exchange(env, "attempt", g, first, start, k, 0, func(env transport.Env, _ *trace.Span, m, phys int) (int64, error) {
+				req := mkReq(g, m)
+				r, err := c.tryExchange(env, phys, req, int64(len(req)), seq)
+				out[i] = r
+				return 0, err
+			})
 		}
 	}
-	if err := env.Parallel("pvfs-read-any", fns...); err != nil {
+	if err := env.Parallel("pvfs-read", fns...); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// readAny performs one replicated read exchange with group g. The
-// picker names a preferred member; suspected-dead members are skipped
-// up front, and each failed attempt rotates to the next member, so
-// failover from a freshly-dead server costs one failed attempt, not a
-// retry ladder. A member-level rejection (e.g. a repairing replica)
-// rotates too, but a full cycle of rejections fails the operation —
-// the servers are answering, and every answer is no.
-func (c *Client) readAny(env transport.Env, handle uint64, off int64, g int, mkReq func(g, member int) []byte, seq uint64) (*wire.IOResp, error) {
-	k := c.k()
-	first := c.picker().Pick(handle, off, g, k)
-	start := first
-	for j := 0; j < k; j++ {
-		if m := (first + j) % k; !c.isSuspect(env, c.phys(g, m)) {
-			start = m
-			break
-		}
-	}
-	attempts := c.Retry.Attempts
-	if attempts < k {
-		attempts = k
-	}
-	backoff := c.Retry.Backoff
-	var firstFail time.Duration
-	sawFail := false
-	rejected := 0 // consecutive member-level rejections
-	for a := 1; ; a++ {
-		m := (start + a - 1) % k
-		phys := c.phys(g, m)
-		req := mkReq(g, m)
-		asp := c.Tracer.Begin(env, c.track(), "attempt", c.opSpan.SID())
-		asp.SetAttr("server", int64(phys))
-		asp.SetAttr("try", int64(a))
-		lo, _ := c.picker().(interface{ Observe(phys int, delta int64) })
-		if lo != nil {
-			lo.Observe(phys, 1)
-		}
-		r, err := c.tryExchange(env, phys, req, int64(len(req)), seq)
-		if lo != nil {
-			lo.Observe(phys, -1)
-		}
-		asp.End(env)
-		if err == nil {
-			c.clearSuspect(phys)
-			if st := c.stats(); st != nil {
-				if m != first {
-					st.AddDegradedRead()
-				}
-				if sawFail {
-					st.AddFailover(int64(env.Now() - firstFail))
-				}
-			}
-			return r, nil
-		}
-		if !retryable(err) {
-			rejected++
-			if rejected >= k {
-				return nil, err
-			}
-			continue // next member answers; no backoff, the server is up
-		}
-		rejected = 0
-		c.dropConn(phys)
-		c.markSuspect(env, phys)
-		if a >= attempts {
-			return nil, fmt.Errorf("pvfs: group %d: gave up after %d attempts: %w", g, a, err)
-		}
-		if !sawFail {
-			sawFail = true
-			firstFail = env.Now()
-		}
-		if st := c.stats(); st != nil {
-			st.AddRetry()
-			if errors.Is(err, transport.ErrTimeout) {
-				st.AddTimeout()
-			}
-		}
-		backoff = c.sleepBackoff(env, backoff)
-	}
-}
-
-// writeAll issues one write per involved replica group, streaming any
-// payload larger than the segment size so the servers' disks overlap
-// the network transfer, and waits for the acks. payloads is indexed by
-// group (= server id when k == 1); mkReq builds the (inline or inner)
-// request for one member and must embed the tag whose sequence is seq,
-// so retries of either form hit the server's replay cache. With k > 1
-// every member of each group receives the group's full payload under
-// that same tag (the per-client replay rings make the k copies
-// independently at-most-once).
-func (c *Client) writeAll(env transport.Env, groups []int, payloads [][]byte, mkReq func(g, member int, data []byte) []byte, seq uint64) error {
-	seg, window := streamParams(c.StreamChunkBytes, c.StreamWindow)
-	if c.k() > 1 {
-		return c.writeFanout(env, groups, payloads, mkReq, seg, window, seq)
-	}
-	stream := false
-	for _, s := range groups {
-		if int64(len(payloads[s])) > seg {
-			stream = true
-			break
-		}
-	}
-	if !stream {
-		reqs := make([][]byte, len(groups))
-		dataLens := make([]int64, len(groups))
-		for i, s := range groups {
-			reqs[i] = mkReq(s, 0, payloads[s])
-			dataLens[i] = int64(len(payloads[s]))
-		}
-		_, err := c.sendRecv(env, groups, reqs, dataLens, seq)
-		return err
-	}
-	// Pre-dial best-effort so the per-server transfers can proceed
-	// concurrently; a credit-window stall against one server must not
-	// serialize others, and a dead server is left for the retry loops.
-	for _, s := range groups {
-		_, _ = c.conn(env, s)
-	}
-	fns := make([]func(transport.Env) error, len(groups))
-	for i, s := range groups {
-		s := s
-		fns[i] = func(env transport.Env) error {
-			return c.writeOne(env, s, 0, payloads[s], mkReq, seg, window, seq, 0)
-		}
-	}
-	return env.Parallel("pvfs-write", fns...)
-}
-
-// writeFanout is writeAll's replicated path: one sibling thread per
-// (group, member), every member receiving its group's full payload.
+// writeGroups issues one write per involved replica group and waits for
+// the acks: one sibling thread per (group, member), every member
+// receiving its group's full payload. payloads is indexed by group;
+// mkReq builds the (inline or inner) request for one member and must
+// embed the tag whose sequence is seq, so retries of either form hit
+// the server's replay cache (the per-client replay rings make the k
+// copies independently at-most-once).
+//
 // Every reachable member must ack. A member that exhausts its retries
 // with connection-class failures is abandoned — marked suspect, its
 // copy left for the wipe+repair path to rebuild — as long as at least
-// one copy of the group's data landed; if a whole group is
-// unreachable, or any member rejects the request outright, the
-// operation fails. Writes to an already-suspected member probe with a
-// single attempt, so a dead server taxes each write one instant dial
-// failure instead of a retry ladder.
+// one copy of the group's data landed; if a whole group is unreachable,
+// or any member rejects the request outright, the operation fails. An
+// unreplicated group's one member is the only copy, so its failure is
+// the operation's.
 //
 // Consistency note: abandoning a member is only safe because a member
 // that missed acks while unreachable can only rejoin service through
 // the kill path (wipe, then re-replicate from a surviving peer). A
 // plain crash-restart shorter than the retry ladder is ridden out by
-// the retries themselves, exactly as in the unreplicated client.
-func (c *Client) writeFanout(env transport.Env, groups []int, payloads [][]byte, mkReq func(g, member int, data []byte) []byte, seg, window int64, seq uint64) error {
+// the retries themselves.
+func (c *Client) writeGroups(env transport.Env, groups []int, payloads [][]byte, mkReq func(g, member int, data []byte) []byte, seq uint64) error {
 	k := c.k()
+	// Pre-dial best-effort so the transfers proceed concurrently; a dead
+	// or suspected member is left for its retry ladder.
 	for _, g := range groups {
 		for j := 0; j < k; j++ {
-			if !c.isSuspect(env, c.phys(g, j)) {
-				_, _ = c.conn(env, c.phys(g, j))
+			if phys := c.phys(g, j); !c.isSuspect(env, phys) {
+				_, _ = c.conn(env, phys)
 			}
 		}
 	}
-	errs := make([][]error, len(groups))
-	fns := make([]func(transport.Env) error, 0, len(groups)*k)
+	errs := make([]error, len(groups)*k)
+	fns := make([]func(transport.Env) error, len(errs))
 	for gi, g := range groups {
-		errs[gi] = make([]error, k)
-		gi, g := gi, g
 		for j := 0; j < k; j++ {
-			j := j
-			fns = append(fns, func(env transport.Env) error {
-				phys := c.phys(g, j)
-				attempts := 0 // retry-policy default
-				if c.isSuspect(env, phys) {
-					attempts = 1
-				}
-				err := c.writeOne(env, g, j, payloads[g], mkReq, seg, window, seq, attempts)
-				if err == nil {
-					c.clearSuspect(phys)
-				} else if retryable(err) {
-					c.markSuspect(env, phys)
-				}
-				errs[gi][j] = err
+			i, g, j := gi*k+j, g, j
+			fns[i] = func(env transport.Env) error {
+				errs[i] = c.writeMember(env, g, j, payloads[g], mkReq, seq)
 				return nil
-			})
+			}
 		}
 	}
-	if err := env.Parallel("pvfs-write-fanout", fns...); err != nil {
+	if err := env.Parallel("pvfs-write", fns...); err != nil {
 		return err
 	}
 	st := c.stats()
 	for gi := range groups {
 		acked := 0
 		var connErr error
-		for j := 0; j < k; j++ {
-			switch e := errs[gi][j]; {
+		for _, e := range errs[gi*k : gi*k+k] {
+			switch {
 			case e == nil:
 				acked++
 			case !retryable(e):
@@ -1167,86 +974,52 @@ func (c *Client) writeFanout(env transport.Env, groups []int, payloads [][]byte,
 	return nil
 }
 
-// writeOne performs one member's write: inline when the payload fits a
-// single segment, streamed otherwise. attempts overrides the retry
-// policy's budget when nonzero.
-func (c *Client) writeOne(env transport.Env, g, member int, payload []byte, mkReq func(int, int, []byte) []byte, seg, window int64, seq uint64, attempts int) error {
-	phys := c.phys(g, member)
-	total := int64(len(payload))
-	if total <= seg {
-		req := mkReq(g, member, payload)
-		_, err := c.exchangeN(env, phys, req, int64(len(req))-total, total, seq, attempts)
-		return err
-	}
-	return c.writeStream(env, phys, payload, mkReq(g, member, nil), seg, window, seq, attempts, c.k() == 1)
-}
-
-// writeStream sends one server's payload as a flow-controlled segment
-// stream, retrying per c.Retry (or the explicit attempts budget when
-// nonzero). When resumable, a failed attempt resumes from the last
-// acknowledged segment: ack a proves every segment before a reached the
-// disk (the server flushes segment k's runs before receiving k+1 and
-// acks k on receipt), so the retry re-sends the header with StartSeg=a
-// and only segments a.. follow. Segment a itself may or may not have
-// been applied; re-writing the same bytes is idempotent, and the
-// server's replay cache catches the case where the whole write finished
-// and only the response was lost.
+// writeMember performs one member's write: inline when the payload fits
+// a single segment, streamed otherwise, so the servers' disks overlap
+// the network transfer. A suspected member of a replicated group is
+// probed with a single attempt, so a dead server taxes each write one
+// instant dial failure instead of a retry ladder; a group of one has no
+// other copy to fall back on and always gets the full ladder.
 //
-// Replicated writes pass resumable=false: a member wiped by a kill
-// mid-stream lost its acknowledged prefix, so every retry restarts
-// from segment 0 (still idempotent, and a fully-applied duplicate is
-// suppressed by the replay ring).
-func (c *Client) writeStream(env transport.Env, s int, payload, inner []byte, seg, window int64, seq uint64, attempts int, resumable bool) error {
-	if attempts < 1 {
-		attempts = c.Retry.Attempts
-	}
-	if attempts < 1 {
+// A streamed write resumes a failed attempt from the last acknowledged
+// segment: ack a proves every segment before a reached the disk (the
+// server flushes segment k's runs before receiving k+1 and acks k on
+// receipt), so the retry re-sends the header with StartSeg=a and only
+// segments a.. follow. Segment a itself may or may not have been
+// applied; re-writing the same bytes is idempotent, and the server's
+// replay cache catches the case where the whole write finished and only
+// the response was lost. Replicated streams restart from segment 0
+// instead: a member wiped by a kill mid-stream lost its acknowledged
+// prefix (still idempotent, and a fully-applied duplicate is suppressed
+// by the replay ring).
+func (c *Client) writeMember(env transport.Env, g, m int, payload []byte, mkReq func(g, member int, data []byte) []byte, seq uint64) error {
+	k := c.k()
+	attempts := 0 // the retry policy's
+	if k > 1 && c.isSuspect(env, c.phys(g, m)) {
 		attempts = 1
 	}
-	backoff := c.Retry.Backoff
+	seg, window := streamParams(c.StreamChunkBytes, c.StreamWindow)
 	total := int64(len(payload))
+	if total <= seg {
+		req := mkReq(g, m, payload)
+		return c.exchange(env, "attempt", g, m, m, 1, attempts, func(env transport.Env, _ *trace.Span, _, phys int) (int64, error) {
+			_, err := c.tryExchange(env, phys, req, int64(len(req))-total, seq)
+			return total, err
+		})
+	}
+	inner := mkReq(g, m, nil)
 	resume := int64(0)
-	var firstFail time.Duration
-	for a := 1; ; a++ {
-		asp := c.Tracer.Begin(env, c.track(), "write-stream-attempt", c.opSpan.SID())
-		asp.SetAttr("server", int64(s))
-		asp.SetAttr("try", int64(a))
-		asp.SetAttr("resume_seg", resume)
-		next, err := c.tryWriteStream(env, s, payload, inner, seg, window, seq, resume)
-		asp.End(env)
-		if err == nil {
-			if a > 1 {
-				if st := c.stats(); st != nil {
-					st.AddFailover(int64(env.Now() - firstFail))
-				}
-			}
-			return nil
-		}
-		if next > resume && resumable {
+	return c.exchange(env, "write-stream-attempt", g, m, m, 1, attempts, func(env transport.Env, sp *trace.Span, _, phys int) (int64, error) {
+		sp.SetAttr("resume_seg", resume)
+		next, err := c.tryWriteStream(env, phys, payload, inner, seg, window, seq, resume)
+		if next > resume && k == 1 {
 			resume = next
 		}
-		if !retryable(err) {
-			return err
-		}
-		c.dropConn(s)
-		if a >= attempts {
-			return fmt.Errorf("pvfs: server %d: gave up after %d attempts: %w", s, a, err)
-		}
-		if a == 1 {
-			firstFail = env.Now()
-		}
-		if st := c.stats(); st != nil {
-			st.AddRetry()
-			if errors.Is(err, transport.ErrTimeout) {
-				st.AddTimeout()
-			}
-			st.AddReplayed(total - resume*seg)
-		}
-		backoff = c.sleepBackoff(env, backoff)
-	}
+		return total - resume*seg, err
+	})
 }
 
-// tryWriteStream is one attempt of writeStream, sending segments
+// tryWriteStream is one attempt of a streamed write, sending segments
 // start.. and returning the resume segment for the next attempt (the
 // highest acknowledgment seen, which only grows).
 func (c *Client) tryWriteStream(env transport.Env, s int, payload, inner []byte, seg, window int64, seq uint64, start int64) (resume int64, err error) {
@@ -1314,6 +1087,16 @@ func (f *File) involvedServers(regions func(emit func(off, n int64))) []int {
 	return out
 }
 
+// allGroups lists every server (replica group) of the file, for the
+// operations that involve each of them.
+func (f *File) allGroups() []int {
+	out := make([]int, f.layout.NServers)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 // ReadContig reads len(buf) bytes at logical offset off. One logical I/O
 // operation; one request per involved server.
 func (f *File) ReadContig(env transport.Env, off int64, buf []byte) error {
@@ -1335,8 +1118,8 @@ func (f *File) ReadContig(env transport.Env, off int64, buf []byte) error {
 	defer f.c.clearOp()
 	tag := f.c.tag()
 	servers := f.involvedServers(func(emit func(off, n int64)) { emit(off, n) })
-	resps, err := f.sendRecvRead(env, off, servers, func(g, m int) []byte {
-		return wire.EncodeContig(&wire.ContigReq{Tag: tag, Layout: f.wireLayoutAt(g, m), Off: off, N: n}, false)
+	resps, err := f.readGroups(env, off, servers, func(g, m int) []byte {
+		return wire.EncodeContig(&wire.ContigReq{Tag: tag, Layout: f.wireLayout(g, m), Off: off, N: n}, false)
 	}, tag.Seq)
 	if err != nil {
 		return err
@@ -1401,9 +1184,9 @@ func (f *File) WriteContig(env transport.Env, off int64, data []byte) error {
 		payloads[s] = payload
 	}
 	tag := f.c.tag()
-	err := f.c.writeAll(env, servers, payloads, func(g, m int, data []byte) []byte {
+	err := f.c.writeGroups(env, servers, payloads, func(g, m int, data []byte) []byte {
 		return wire.EncodeContig(&wire.ContigReq{
-			Tag: tag, Layout: f.wireLayoutAt(g, m), Off: off, N: n, Data: data,
+			Tag: tag, Layout: f.wireLayout(g, m), Off: off, N: n, Data: data,
 		}, true)
 	}, tag.Seq)
 	if err != nil {
@@ -1569,8 +1352,8 @@ func (f *File) ReadList(env transport.Env, fileRegions, memRegions []flatten.Reg
 		}
 		servers = append(servers, s)
 	}
-	resps, err := f.sendRecvRead(env, fileRegions[0].Off, servers, func(g, m int) []byte {
-		return wire.EncodeListIO(&wire.ListIOReq{Tag: tag, Layout: f.wireLayoutAt(g, m), Regions: perServer[g]}, false)
+	resps, err := f.readGroups(env, fileRegions[0].Off, servers, func(g, m int) []byte {
+		return wire.EncodeListIO(&wire.ListIOReq{Tag: tag, Layout: f.wireLayout(g, m), Regions: perServer[g]}, false)
 	}, tag.Seq)
 	if err != nil {
 		return err
@@ -1658,9 +1441,9 @@ func (f *File) WriteList(env transport.Env, fileRegions, memRegions []flatten.Re
 		servers = append(servers, s)
 	}
 	tag := f.c.tag()
-	err = f.c.writeAll(env, servers, bufs, func(g, m int, data []byte) []byte {
+	err = f.c.writeGroups(env, servers, bufs, func(g, m int, data []byte) []byte {
 		return wire.EncodeListIO(&wire.ListIOReq{
-			Tag: tag, Layout: f.wireLayoutAt(g, m), Regions: perServer[g], Data: data,
+			Tag: tag, Layout: f.wireLayout(g, m), Regions: perServer[g], Data: data,
 		}, true)
 	}, tag.Seq)
 	if err != nil {
@@ -1878,7 +1661,7 @@ func (f *File) dtypeOp(env transport.Env, a *DtypeAccess, write bool) error {
 	mkReq := func(g, m int, data []byte) []byte {
 		return wire.EncodeDtype(&wire.DtypeReq{
 			Tag:        tag,
-			Layout:     f.wireLayoutAt(g, m),
+			Layout:     f.wireLayout(g, m),
 			Loop:       loopBytes,
 			Count:      tiles,
 			Disp:       a.Disp,
@@ -1888,10 +1671,7 @@ func (f *File) dtypeOp(env transport.Env, a *DtypeAccess, write bool) error {
 			Data:       data,
 		}, write)
 	}
-	servers := make([]int, f.layout.NServers)
-	for i := range servers {
-		servers[i] = i
-	}
+	servers := f.allGroups()
 	fprog, mprog := a.programs()
 	var pieces int64
 	if write {
@@ -1904,7 +1684,7 @@ func (f *File) dtypeOp(env transport.Env, a *DtypeAccess, write bool) error {
 		// clients stream accesses as they are generated.
 		cpu := f.c.cost.PerRegionClient * time.Duration(pieces)
 		err = env.Overlap(func() time.Duration { return cpu }, func() error {
-			return f.c.writeAll(env, servers, bufs, mkReq, tag.Seq)
+			return f.c.writeGroups(env, servers, bufs, mkReq, tag.Seq)
 		})
 	} else {
 		// The scatter's job-build CPU overlaps the transfer too: real
@@ -1916,7 +1696,7 @@ func (f *File) dtypeOp(env transport.Env, a *DtypeAccess, write bool) error {
 			n, _ := f.unpackDtype(a, fprog, mprog, tiles, nbytes, nil)
 			return f.c.cost.PerRegionClient * time.Duration(n)
 		}, func() error {
-			resps, err := f.sendRecvRead(env, a.Disp+a.Pos, servers, func(g, m int) []byte {
+			resps, err := f.readGroups(env, a.Disp+a.Pos, servers, func(g, m int) []byte {
 				return mkReq(g, m, nil)
 			}, tag.Seq)
 			if err != nil {
@@ -1951,12 +1731,9 @@ func (f *File) Size(env transport.Env) (int64, error) {
 		}
 	}
 	tag := f.c.tag()
-	servers := make([]int, f.layout.NServers)
-	for i := range servers {
-		servers[i] = i
-	}
-	resps, err := f.sendRecvRead(env, 0, servers, func(g, m int) []byte {
-		return wire.EncodeLocalSize(&wire.LocalSizeReq{Tag: tag, Layout: f.wireLayoutAt(g, m)})
+	servers := f.allGroups()
+	resps, err := f.readGroups(env, 0, servers, func(g, m int) []byte {
+		return wire.EncodeLocalSize(&wire.LocalSizeReq{Tag: tag, Layout: f.wireLayout(g, m)})
 	}, tag.Seq)
 	if err != nil {
 		return 0, err
@@ -1980,15 +1757,11 @@ func (f *File) Truncate(env transport.Env, size int64) error {
 		}
 	}
 	tag := f.c.tag()
-	groups := make([]int, f.layout.NServers)
-	for i := range groups {
-		groups[i] = i
-	}
 	// Truncation mutates every replica member, so it rides the write
 	// fan-out path (with no payload to carry).
-	return f.c.writeAll(env, groups, make([][]byte, f.layout.NServers),
+	return f.c.writeGroups(env, f.allGroups(), make([][]byte, f.layout.NServers),
 		func(g, m int, _ []byte) []byte {
-			return wire.EncodeTruncate(&wire.TruncateReq{Tag: tag, Layout: f.wireLayoutAt(g, m), Size: size})
+			return wire.EncodeTruncate(&wire.TruncateReq{Tag: tag, Layout: f.wireLayout(g, m), Size: size})
 		}, tag.Seq)
 }
 
@@ -2078,41 +1851,19 @@ func (c *Client) FetchMetaStats(env transport.Env, s int) (*MetaSnapshot, error)
 	if s < 0 || s >= c.shards.N() {
 		return nil, fmt.Errorf("pvfs: no meta shard %d", s)
 	}
-	conn, err := c.metaDial(env, s)
+	v, err := c.metaExchange(env, s, wire.EncodeMetaStats(), wire.MTIOResp, c.Retry.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	if err := conn.Send(env, wire.EncodeMetaStats()); err != nil {
-		return nil, err
+	r := v.(*wire.IOResp)
+	if !r.OK {
+		return nil, fmt.Errorf("pvfs: meta shard %d: %s", s, r.Err)
 	}
-	for {
-		raw, err := transport.RecvTimeout(env, conn, c.Retry.Timeout)
-		if err != nil {
-			return nil, fmt.Errorf("pvfs: meta shard %d stats: %w", s, err)
-		}
-		t, v, err := wire.DecodeMsg(raw)
-		if err != nil {
-			return nil, err
-		}
-		switch t {
-		case wire.MTIOResp:
-			r := v.(*wire.IOResp)
-			if !r.OK {
-				return nil, fmt.Errorf("pvfs: meta shard %d: %s", s, r.Err)
-			}
-			var snap MetaSnapshot
-			if err := json.Unmarshal(r.Data, &snap); err != nil {
-				return nil, fmt.Errorf("pvfs: meta shard %d stats payload: %w", s, err)
-			}
-			return &snap, nil
-		case wire.MTLockGrant:
-			c.pendGrants = append(c.pendGrants, v.(*wire.LockGrant))
-		case wire.MTLeaseRevoke:
-			c.pendRevokes = append(c.pendRevokes, v.(*wire.LeaseRevoke))
-		default:
-			return nil, errors.New("pvfs: unexpected meta stats response " + t.String())
-		}
+	var snap MetaSnapshot
+	if err := json.Unmarshal(r.Data, &snap); err != nil {
+		return nil, fmt.Errorf("pvfs: meta shard %d stats payload: %w", s, err)
 	}
+	return &snap, nil
 }
 
 // Regions re-exports the flatten region type for list I/O callers.

@@ -96,12 +96,7 @@ func (cc *clientCache) maintain(env transport.Env) error {
 			if derr != nil {
 				return derr
 			}
-			switch t {
-			case wire.MTLeaseRevoke:
-				cc.c.pendRevokes = append(cc.c.pendRevokes, v.(*wire.LeaseRevoke))
-			case wire.MTLockGrant:
-				cc.c.pendGrants = append(cc.c.pendGrants, v.(*wire.LockGrant))
-			}
+			cc.c.stashLease(t, v)
 		}
 		if !polled && len(cc.c.pendRevokes) == 0 {
 			break

@@ -109,7 +109,7 @@ func TestWriteDedupSuppressesReplay(t *testing.T) {
 	}
 	defer conn.Close()
 	reqA := wire.EncodeContig(&wire.ContigReq{
-		Tag: wire.ReqTag{Client: 77, Seq: 1}, Layout: f.wireLayout(0),
+		Tag: wire.ReqTag{Client: 77, Seq: 1}, Layout: f.wireLayout(0, 0),
 		Off: 0, N: 4, Data: []byte("AAAA"),
 	}, true)
 	rawExchange := func() *wire.IOResp {
@@ -171,7 +171,7 @@ func TestStreamedWriteResumeAfterCrash(t *testing.T) {
 		payload[i] = byte(i*3 + 1)
 	}
 	inner := wire.EncodeContig(&wire.ContigReq{
-		Tag: wire.ReqTag{Client: 99, Seq: 5}, Layout: f.wireLayout(0),
+		Tag: wire.ReqTag{Client: 99, Seq: 5}, Layout: f.wireLayout(0, 0),
 		Off: 0, N: total,
 	}, true)
 

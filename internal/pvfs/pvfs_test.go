@@ -504,7 +504,7 @@ func TestServerRejectsMisroutedRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := wire.EncodeContig(&wire.ContigReq{Layout: f.wireLayout(0), Off: 0, N: 10}, false)
+	req := wire.EncodeContig(&wire.ContigReq{Layout: f.wireLayout(0, 0), Off: 0, N: 10}, false)
 	conn.Send(env, req)
 	raw, err := conn.Recv(env)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"dtio/internal/fault"
 	"dtio/internal/iostats"
+	"dtio/internal/replica"
 	"dtio/internal/transport"
 	"dtio/internal/wire"
 )
@@ -39,16 +40,12 @@ func startReplicatedCluster(t *testing.T, groups, k int) *replicatedCluster {
 	for i := 0; i < groups*k; i++ {
 		tc.addrs = append(tc.addrs, fmt.Sprintf("io%d", i))
 	}
+	placement := replica.NewMap(groups, k)
 	for i := 0; i < groups*k; i++ {
 		s := NewServer(tc.net, tc.addrs[i], i, CostModel{})
 		s.Stats = rc.srvIO
-		if k > 1 {
-			g := i / k
-			for j := 0; j < k; j++ {
-				if p := g*k + j; p != i {
-					s.ReplicaPeers = append(s.ReplicaPeers, tc.addrs[p])
-				}
-			}
+		for _, p := range placement.Peers(i) {
+			s.ReplicaPeers = append(s.ReplicaPeers, tc.addrs[p])
 		}
 		tc.servers = append(tc.servers, s)
 		go s.Serve(tc.env)
@@ -314,6 +311,79 @@ func TestKillWipesUnreplicatedData(t *testing.T) {
 	}
 	if !bytes.Equal(got, make([]byte, 8)) {
 		t.Fatalf("unreplicated kill preserved data %q, want zeros", got)
+	}
+}
+
+// TestUnreplicatedSuspectKeepsFullLadder: an unreplicated file is a
+// replica group of one, so its server's suspicion must not cut a write
+// down to the single probe attempt a replicated member gets — there is
+// no other copy to land on. A failed read marks the server suspect; a
+// write into the same outage must still ride it out with retries.
+func TestUnreplicatedSuspectKeepsFullLadder(t *testing.T) {
+	tc := startCluster(t, 1)
+	env := tc.env
+	c, _ := faultyClient(tc, fault.Plan{})
+	defer c.Close()
+	f, err := c.Create(env, "suspect.dat", 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteContig(env, 0, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	tc.servers[0].Crash(60 * time.Millisecond)
+	ladder := c.Retry
+	c.Retry.Attempts = 1
+	if err := f.ReadContig(env, 0, make([]byte, 6)); err == nil {
+		t.Fatal("a one-attempt read of a crashed server succeeded")
+	}
+	if !c.isSuspect(env, 0) {
+		t.Fatal("a failed read left the server unsuspected")
+	}
+	c.Retry = ladder
+	if err := f.WriteContig(env, 0, []byte("after!")); err != nil {
+		t.Fatalf("write to a suspected unreplicated server: %v", err)
+	}
+	got := make([]byte, 6)
+	if err := f.ReadContig(env, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "after!" {
+		t.Fatalf("got %q, want %q", got, "after!")
+	}
+	if snap := c.Stats.Snapshot(); snap.Retries == 0 || snap.DegradedReads != 0 || snap.FanoutWrites != 0 {
+		t.Fatalf("retries %d, degraded reads %d, fan-out writes %d; want >0, 0, 0",
+			snap.Retries, snap.DegradedReads, snap.FanoutWrites)
+	}
+}
+
+// TestLayoutAddressesGroupMember: the server accepts a request only at
+// the physical index its (group, member) names, ServerIdx*k + Member,
+// with an unreplicated layout (Replicas 0 or 1) read as groups of one.
+func TestLayoutAddressesGroupMember(t *testing.T) {
+	for _, tc := range []struct {
+		index              int
+		idx, n, reps, memb int32
+		ok                 bool
+	}{
+		{index: 1, idx: 1, n: 2, reps: 0, memb: 0, ok: true},
+		{index: 1, idx: 1, n: 2, reps: 1, memb: 0, ok: true},
+		{index: 1, idx: 0, n: 2, reps: 1, memb: 0, ok: false},  // another server's request
+		{index: 1, idx: 0, n: 2, reps: 1, memb: 1, ok: false},  // no member 1 in a group of one
+		{index: 2, idx: 2, n: 2, reps: 1, memb: 0, ok: false},  // past the file's servers
+		{index: 3, idx: 1, n: 2, reps: 2, memb: 1, ok: true},   // group 1 member 1
+		{index: 2, idx: 1, n: 2, reps: 2, memb: 0, ok: true},   // group 1 member 0
+		{index: 2, idx: 0, n: 2, reps: 2, memb: 2, ok: false},  // member out of range
+		{index: 0, idx: 0, n: 2, reps: 2, memb: -1, ok: false}, // negative member
+		{index: 4, idx: 2, n: 2, reps: 2, memb: 0, ok: false},  // group past the file's groups
+	} {
+		s := NewServer(nil, "", tc.index, CostModel{})
+		_, err := s.layoutOf(wire.FileLayout{
+			StripSize: 64, NServers: tc.n, ServerIdx: tc.idx, Replicas: tc.reps, Member: tc.memb,
+		})
+		if (err == nil) != tc.ok {
+			t.Errorf("%+v: err %v, want ok=%v", tc, err, tc.ok)
+		}
 	}
 }
 

@@ -568,29 +568,21 @@ func (s *Server) remember(tag wire.ReqTag, resp []byte) {
 	h.pos = (h.pos + 1) % dedupPerClient
 }
 
-// layoutOf validates and converts the wire layout. Unreplicated files
-// address cluster servers directly; replicated ones address (group,
-// member) pairs, with group g's member j living at physical server
-// g*k + j, so the striping math below stays in group space either way.
+// layoutOf validates and converts the wire layout. Requests address
+// (group, member) pairs, with group g's member j living at physical
+// server g*k + j, so the striping math below stays in group space. An
+// unreplicated file (Replicas 0 or 1) is groups of one: its member 0 of
+// group g is cluster server g.
 func (s *Server) layoutOf(l wire.FileLayout) (striping.Layout, error) {
 	lay := striping.Layout{StripSize: l.StripSize, NServers: int(l.NServers), Base: int(l.Base)}
 	if err := lay.Validate(); err != nil {
 		return lay, err
 	}
-	if l.Replicas > 1 {
-		if l.Member < 0 || l.Member >= l.Replicas || int(l.ServerIdx) >= int(l.NServers) ||
-			int(l.ServerIdx)*int(l.Replicas)+int(l.Member) != s.index {
-			return lay, fmt.Errorf("request for group %d/%d member %d/%d arrived at cluster server %d",
-				l.ServerIdx, l.NServers, l.Member, l.Replicas, s.index)
-		}
-		return lay, nil
-	}
-	// A file's server list is cluster servers 0..NServers-1, so a
-	// participating server's index within the file equals its cluster
-	// index.
-	if int(l.ServerIdx) != s.index || s.index >= int(l.NServers) {
-		return lay, fmt.Errorf("request for file server %d/%d arrived at cluster server %d",
-			l.ServerIdx, l.NServers, s.index)
+	k := max(int(l.Replicas), 1)
+	if l.Member < 0 || int(l.Member) >= k || l.ServerIdx < 0 || l.ServerIdx >= l.NServers ||
+		int(l.ServerIdx)*k+int(l.Member) != s.index {
+		return lay, fmt.Errorf("request for group %d/%d member %d/%d arrived at cluster server %d",
+			l.ServerIdx, l.NServers, l.Member, k, s.index)
 	}
 	return lay, nil
 }

@@ -267,7 +267,7 @@ func TestStreamWriteRequestErrorKeepsConnUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	const seg, total = 1024, 3000
-	inner := wire.EncodeContig(&wire.ContigReq{Layout: f.wireLayout(0), Off: 0, N: 100}, true)
+	inner := wire.EncodeContig(&wire.ContigReq{Layout: f.wireLayout(0, 0), Off: 0, N: 100}, true)
 	hdr := wire.EncodeWriteStreamHdr(&wire.WriteStreamHdr{
 		Total: total, SegBytes: seg, Window: 4, Inner: inner,
 	})
@@ -321,7 +321,7 @@ func TestStreamBadHeaderClosesConn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := wire.EncodeContig(&wire.ContigReq{Layout: f.wireLayout(0), Off: 0, N: 10}, true)
+	inner := wire.EncodeContig(&wire.ContigReq{Layout: f.wireLayout(0, 0), Off: 0, N: 10}, true)
 	hdr := wire.EncodeWriteStreamHdr(&wire.WriteStreamHdr{
 		Total: 500, SegBytes: 1024, Window: 4, Inner: inner,
 	})
