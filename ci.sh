@@ -1,14 +1,16 @@
 #!/bin/sh
 # ci.sh — the repo's gate, in the order a failure is cheapest to catch:
-# vet, build, the whole suite under the race detector, the whole suite
-# again in shuffled order, the exact allocation bounds without the race
-# detector, then one pass over every benchmark so none of them rot.
+# vet, formatting (gofmt must list no file), build, the whole suite
+# under the race detector, the whole suite again in shuffled order, the
+# exact allocation bounds without the race detector, then one pass over
+# every benchmark so none of them rot.
 # Every `go test` carries an explicit -timeout: a lock-protocol bug
 # shows up as a hang, and the watchdog turns that into a failure with
 # goroutine dumps instead of a stuck CI job.
 set -eux
 
 go vet ./...
+test -z "$(gofmt -l .)"
 go build ./...
 go test -race -timeout 300s ./...
 # Shuffled order: state leaking between tests (shared rigs, package

@@ -51,7 +51,7 @@ func main() {
 	index := flag.Int("index", 0, "this server's index in the cluster server list")
 	dataDir := flag.String("data", "", "directory for object files (empty: in-memory)")
 	sieveGap := flag.Int64("sievegap", pvfs.DefaultSieveGapBytes,
-		"disk scheduler read gap-merge threshold in bytes (0: merge adjacent runs only)")
+		"disk scheduler read gap-merge threshold in bytes (0: merge adjacent runs only); reads only: write sieving uses its own fixed 4 KiB hole bound")
 	httpAddr := flag.String("http", "", "debug listener address (/metrics, /healthz, /debug/pprof); empty: off")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON here on SIGINT/SIGTERM; empty: off")
 	peers := flag.String("peers", "", "comma-separated addresses of this server's replica group siblings; empty: unreplicated")

@@ -317,6 +317,9 @@ func NewCluster(cfg Config) *Cluster {
 		// chunk size, as real PVFS flow buffers do.
 		srv.StreamChunkBytes = cfg.SimCfg.ChunkBytes
 		srv.SieveGapBytes = cfg.SieveGapBytes
+		// PVFS 1 never wrote a byte outside a write's payload, so the
+		// modeled servers keep write runs adjacency-only.
+		srv.AdjacentWritesOnly = true
 		srv.Stats = c.diskStats
 		srv.Tracer = cfg.Trace
 		srv.Metrics = &pvfs.ServerMetrics{}

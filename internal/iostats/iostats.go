@@ -29,6 +29,8 @@ type Stats struct {
 	diskOps    atomic.Int64 // physical runs presented to the disk scheduler
 	diskMerged atomic.Int64 // disk operations dispatched after coalescing
 	diskVec    atomic.Int64 // coalesced ops dispatched as one vectored call
+	rmwOps     atomic.Int64 // dispatched writes that pre-read their extent (write sieving)
+	rmwGap     atomic.Int64 // hole bytes those writes read and rewrote unchanged
 	seekBytes  atomic.Int64 // head travel between dispatched operations
 	retries    atomic.Int64 // request attempts beyond the first
 	timeouts   atomic.Int64 // attempts that failed by receive timeout
@@ -85,6 +87,15 @@ func (s *Stats) AddDisk(in, merged, seek int64) {
 // single vectored (scatter-gather) call rather than through a staging
 // copy.
 func (s *Stats) AddVec(n int64) { s.diskVec.Add(n) }
+
+// AddRMW records ops sieved writes, each a read-modify-write of its
+// extent, rewriting gap bytes of holes between their runs. Every such
+// op is already one of AddDisk's merged ops; this counts the pre-read
+// traffic that count hides.
+func (s *Stats) AddRMW(ops, gap int64) {
+	s.rmwOps.Add(ops)
+	s.rmwGap.Add(gap)
+}
 
 // AddRetry records one retried request attempt.
 func (s *Stats) AddRetry() { s.retries.Add(1) }
@@ -166,6 +177,11 @@ type Snapshot struct {
 	// EventsDropped counts flight-recorder events the ring overwrote
 	// before a dump could read them (server-side; DESIGN.md §17).
 	EventsDropped int64
+	// DiskRMWOps counts dispatched writes that read their extent first
+	// (server-side write sieving), and DiskRMWGapBytes the hole bytes
+	// they read and rewrote unchanged (server-side; DESIGN.md §10).
+	DiskRMWOps      int64
+	DiskRMWGapBytes int64
 }
 
 // Snapshot copies the current counters.
@@ -183,6 +199,8 @@ func (s *Stats) Snapshot() Snapshot {
 		DiskOps:            s.diskOps.Load(),
 		DiskOpsMerged:      s.diskMerged.Load(),
 		DiskVecOps:         s.diskVec.Load(),
+		DiskRMWOps:         s.rmwOps.Load(),
+		DiskRMWGapBytes:    s.rmwGap.Load(),
 		SeekBytes:          s.seekBytes.Load(),
 		Retries:            s.retries.Load(),
 		Timeouts:           s.timeouts.Load(),
@@ -218,6 +236,8 @@ func (s *Stats) Reset() {
 		DiskOps:            s.diskOps.Swap(0),
 		DiskOpsMerged:      s.diskMerged.Swap(0),
 		DiskVecOps:         s.diskVec.Swap(0),
+		DiskRMWOps:         s.rmwOps.Swap(0),
+		DiskRMWGapBytes:    s.rmwGap.Swap(0),
 		SeekBytes:          s.seekBytes.Swap(0),
 		Retries:            s.retries.Swap(0),
 		Timeouts:           s.timeouts.Swap(0),
@@ -260,6 +280,8 @@ func (a Snapshot) Add(b Snapshot) Snapshot {
 		DiskOps:            a.DiskOps + b.DiskOps,
 		DiskOpsMerged:      a.DiskOpsMerged + b.DiskOpsMerged,
 		DiskVecOps:         a.DiskVecOps + b.DiskVecOps,
+		DiskRMWOps:         a.DiskRMWOps + b.DiskRMWOps,
+		DiskRMWGapBytes:    a.DiskRMWGapBytes + b.DiskRMWGapBytes,
 		SeekBytes:          a.SeekBytes + b.SeekBytes,
 		Retries:            a.Retries + b.Retries,
 		Timeouts:           a.Timeouts + b.Timeouts,
@@ -295,6 +317,8 @@ func (a Snapshot) Div(n int64) Snapshot {
 		DiskOps:            a.DiskOps / n,
 		DiskOpsMerged:      a.DiskOpsMerged / n,
 		DiskVecOps:         a.DiskVecOps / n,
+		DiskRMWOps:         a.DiskRMWOps / n,
+		DiskRMWGapBytes:    a.DiskRMWGapBytes / n,
 		SeekBytes:          a.SeekBytes / n,
 		Retries:            a.Retries / n,
 		Timeouts:           a.Timeouts / n,
@@ -344,6 +368,9 @@ func (s Snapshot) String() string {
 	}
 	if s.DiskOps != 0 || s.DiskOpsMerged != 0 || s.SeekBytes != 0 {
 		str += fmt.Sprintf(" diskops=%d merged=%d vec=%d seek=%s", s.DiskOps, s.DiskOpsMerged, s.DiskVecOps, MB(s.SeekBytes))
+	}
+	if s.DiskRMWOps != 0 {
+		str += fmt.Sprintf(" rmw=%d rmwgap=%s", s.DiskRMWOps, MB(s.DiskRMWGapBytes))
 	}
 	if s.Retries != 0 || s.Timeouts != 0 || s.ReplayedBytes != 0 || s.FailoverNs != 0 {
 		str += fmt.Sprintf(" retries=%d timeouts=%d replayed=%s failover=%s",

@@ -68,6 +68,8 @@ func RegisterIOStats(reg *Registry, prefix string, fn func() iostats.Snapshot) {
 	g("disk_ops_merged", "disk operations merged away by the scheduler", func(s iostats.Snapshot) int64 { return s.DiskOpsMerged })
 	g("disk_vec_ops", "coalesced operations dispatched as one vectored call", func(s iostats.Snapshot) int64 { return s.DiskVecOps })
 	g("seek_bytes", "disk head travel charged by the seek model", func(s iostats.Snapshot) int64 { return s.SeekBytes })
+	g("disk_rmw_ops", "sieved writes that read their extent before writing it back", func(s iostats.Snapshot) int64 { return s.DiskRMWOps })
+	g("disk_rmw_gap_bytes", "hole bytes sieved writes read and rewrote unchanged", func(s iostats.Snapshot) int64 { return s.DiskRMWGapBytes })
 	g("retries", "request retries", func(s iostats.Snapshot) int64 { return s.Retries })
 	g("timeouts", "request timeouts", func(s iostats.Snapshot) int64 { return s.Timeouts })
 	g("replayed_bytes", "duplicate write bytes suppressed by replay dedup", func(s iostats.Snapshot) int64 { return s.ReplayedBytes })

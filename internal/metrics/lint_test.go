@@ -12,13 +12,13 @@ func TestLintNameRules(t *testing.T) {
 		{"lock_wait_seconds_total", "counter", true},
 		{"cache_hit_ratio", "gauge", true},
 		{"read_latency_seconds", "histogram", true},
-		{"lock_wait_ns", "gauge", false},          // scaled duration unit
-		{"failover_ms_total", "counter", false},   // scaled unit inside counter
-		{"cache_hit_pct", "gauge", false},         // percent instead of ratio
-		{"heap_kb", "gauge", false},               // scaled size unit
-		{"replays", "counter", false},             // counter without _total
-		{"io_ops_total", "gauge", false},          // _total on a non-counter
-		{"read_latency", "histogram", false},      // histogram without _seconds
+		{"lock_wait_ns", "gauge", false},        // scaled duration unit
+		{"failover_ms_total", "counter", false}, // scaled unit inside counter
+		{"cache_hit_pct", "gauge", false},       // percent instead of ratio
+		{"heap_kb", "gauge", false},             // scaled size unit
+		{"replays", "counter", false},           // counter without _total
+		{"io_ops_total", "gauge", false},        // _total on a non-counter
+		{"read_latency", "histogram", false},    // histogram without _seconds
 		{"read_latency_total", "histogram", false},
 		{"Read_Latency_seconds", "histogram", false}, // uppercase
 	}

@@ -51,15 +51,15 @@ func HealthScore(p99, medianP99 time.Duration, inflight int64, degraded, repairi
 
 // ServerHealth is one server's row in the cluster health table.
 type ServerHealth struct {
-	Server    int     `json:"server"`
-	P99Us     int64   `json:"p99_us"`
-	InFlight  int64   `json:"inflight"`
-	Degraded  bool    `json:"degraded,omitempty"`
-	Repairing bool    `json:"repairing,omitempty"`
+	Server    int   `json:"server"`
+	P99Us     int64 `json:"p99_us"`
+	InFlight  int64 `json:"inflight"`
+	Degraded  bool  `json:"degraded,omitempty"`
+	Repairing bool  `json:"repairing,omitempty"`
 	// Stalled: requests were in flight but none completed in the
 	// snapshot's observation window.
-	Stalled bool    `json:"stalled,omitempty"`
-	Score   float64 `json:"score"`
+	Stalled   bool    `json:"stalled,omitempty"`
+	Score     float64 `json:"score"`
 	Straggler bool    `json:"straggler,omitempty"`
 }
 

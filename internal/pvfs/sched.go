@@ -28,6 +28,21 @@ const DefaultSieveGapBytes = 64 * 1024
 // objects (storage.vec_crossover_bytes); at 512 B staging still wins.
 const vecMinRunBytes = 1024
 
+// writeSieveGapBytes is the widest hole a write run may jump to join the
+// current operation (server-side data-sieving write, DESIGN.md §10): the
+// operation pre-reads its extent, overlays the runs and writes the
+// extent back, so the hole's bytes are rewritten unchanged under the
+// object's latch. 4 KiB keeps the pre-read and rewrite of the holes
+// cheaper than the per-run writes they replace; see
+// TestWriteSieveConstants for the measured crossover.
+const writeSieveGapBytes = 4 * 1024
+
+// writeSieveMaxBytes caps the extent of a write operation that has
+// jumped a hole, so one read-modify-write never dwarfs a flow-control
+// segment and the pooled staging buffer stays segment-sized.
+// Strictly adjacent runs still join without limit.
+const writeSieveMaxBytes = DefaultStreamChunkBytes
+
 // ioSpan is one physical run a request produces: n bytes at off on the
 // server's local object, occupying [pos, pos+n) of the request-order
 // payload (writes) or response (reads). Write runs carry their payload
@@ -40,10 +55,12 @@ type ioSpan struct {
 
 // diskOp is one dispatched disk operation: the coalesced runs
 // sorted[first:first+count], issued as a single n-byte access at off.
-// For reads n may exceed the runs' byte total — gaps up to the sieve
-// threshold are over-read and discarded (data sieving at the disk).
+// n may exceed the runs' byte total by gap bytes no run covers: a
+// sieved read over-reads and discards them, a sieved write pre-reads
+// and rewrites them (data sieving at the disk).
 type diskOp struct {
 	off, n       int64
+	gap          int64
 	first, count int
 }
 
@@ -57,11 +74,12 @@ type segPlan struct {
 // diskSched is the per-request disk scheduler (DESIGN.md §10). It
 // collects the physical runs a request produces, reorders each dispatch
 // batch by physical offset (elevator order), coalesces strictly
-// adjacent runs — plus, for reads, runs separated by gaps up to the
-// sieve threshold — and prices the result per dispatched operation with
-// a seek term proportional to head travel. The head position carries
-// across a request's batches, so a streamed transfer that continues
-// sequentially pays one positioning charge, not one per segment.
+// adjacent runs — plus runs separated by gaps up to the read sieve
+// threshold, or, when write sieving is on, up to writeSieveGapBytes —
+// and prices the result per dispatched operation with a seek term
+// proportional to head travel. The head position carries across a
+// request's batches, so a streamed transfer that continues sequentially
+// pays one positioning charge, not one per segment.
 type diskSched struct {
 	cost    CostModel
 	stats   *iostats.Stats
@@ -71,6 +89,11 @@ type diskSched struct {
 	scale   int64 // disk-time multiplier in percent (0 or 100 = normal)
 	head    int64 // head position after the last dispatched op
 	started bool  // head is meaningful
+
+	// Writes only: sieve lets runs join across holes (read-modify-write),
+	// and latch is the object's latch, held around each batch's stores.
+	sieve bool
+	latch *sync.Mutex
 
 	spans  []ioSpan  // arrival order, as the request walk produced them
 	sorted []ioSpan  // dispatch order, one batch after another
@@ -89,6 +112,7 @@ func (s *Server) newSched(write bool) *diskSched {
 	d.cost = s.cost
 	d.stats = s.Stats
 	d.write = write
+	d.sieve = write && !s.AdjacentWritesOnly
 	d.vecMin = vecMinRunBytes
 	d.gap = s.SieveGapBytes
 	d.scale = s.diskScale.Load()
@@ -113,6 +137,7 @@ func putSched(d *diskSched) {
 	d.segs = d.segs[:0]
 	d.iov = clearIov(d.iov)
 	d.stats = nil
+	d.latch = nil
 	d.vecMin = 0
 	schedPool.Put(d)
 }
@@ -150,7 +175,10 @@ func writeOverlap(b []ioSpan) bool {
 // planBatch schedules one dispatch batch: it appends the batch to the
 // dispatch-order list, coalesces it into operations, and prices them.
 // batch must not alias d.sorted. Overlapping write runs fall back to
-// arrival order — reordering them would change the bytes on disk.
+// arrival order — reordering them would change the bytes on disk — and
+// are never sieved. A sieving write run joins across a hole of at most
+// writeSieveGapBytes while the operation's extent stays within
+// writeSieveMaxBytes.
 func (d *diskSched) planBatch(batch []ioSpan) segPlan {
 	p := segPlan{opsFrom: len(d.ops), opsTo: len(d.ops)}
 	if len(batch) == 0 {
@@ -165,8 +193,10 @@ func (d *diskSched) planBatch(batch []ioSpan) segPlan {
 		}
 		return b[i].pos < b[j].pos
 	})
+	sieve := d.sieve
 	if d.write && writeOverlap(b) {
 		copy(b, batch)
+		sieve = false
 	}
 	cur := diskOp{off: b[0].off, n: b[0].n, first: from, count: 1}
 	for i := 1; i < len(b); i++ {
@@ -174,9 +204,13 @@ func (d *diskSched) planBatch(batch []ioSpan) segPlan {
 		end := cur.off + cur.n
 		join := sp.off >= cur.off && sp.off <= end+d.gap
 		if d.write {
-			join = sp.off == end
+			join = sp.off == end || sieve && sp.off > end &&
+				sp.off-end <= writeSieveGapBytes && sp.off+sp.n-cur.off <= writeSieveMaxBytes
 		}
 		if join {
+			if sp.off > end {
+				cur.gap += sp.off - end
+			}
 			if e := sp.off + sp.n; e > end {
 				cur.n = e - cur.off
 			}
@@ -195,11 +229,17 @@ func (d *diskSched) planBatch(batch []ioSpan) segPlan {
 // charge prices one batch's operations and advances the head. An
 // operation starting exactly at the head continues the previous
 // dispatch sequentially: no positioning charge and no new operation
-// counted — the disk just keeps streaming.
+// counted — the disk just keeps streaming. A sieved write is one
+// dispatched operation that also pays for reading its extent first.
 func (d *diskSched) charge(ops []diskOp, nIn int64) time.Duration {
 	var t time.Duration
-	var nOut, seek int64
+	var nOut, seek, rmw, rmwGap int64
 	for _, op := range ops {
+		if d.write && op.gap > 0 {
+			t += d.cost.diskXfer(op.n, false)
+			rmw++
+			rmwGap += op.gap
+		}
 		if !d.started || op.off != d.head {
 			t += d.cost.DiskPerOp
 			if d.started {
@@ -218,6 +258,9 @@ func (d *diskSched) charge(ops []diskOp, nIn int64) time.Duration {
 	}
 	if d.stats != nil {
 		d.stats.AddDisk(nIn, nOut, seek)
+		if rmw > 0 {
+			d.stats.AddRMW(rmw, rmwGap)
+		}
 	}
 	if d.scale > 0 && d.scale != 100 {
 		t = t * time.Duration(d.scale) / 100
@@ -331,13 +374,22 @@ func (d *diskSched) readVec(st storage.Store, op diskOp, runs []ioSpan, dst []by
 // payload, or one flow-control segment's worth of a streamed one — and
 // resets the batch, keeping the head position. The disk charge lands
 // before the writes, where the streamed path's per-segment charge was.
+// The object's latch is held only around the stores themselves, never
+// across an env call or a stream receive, so neither the simulator nor
+// a slow sender can park a goroutine that holds it.
 func (d *diskSched) flushWrites(env transport.Env, st storage.Store) error {
 	if len(d.spans) == 0 {
 		return nil
 	}
 	p := d.planBatch(d.spans)
 	env.DiskUse(p.cost)
+	if d.latch != nil {
+		d.latch.Lock()
+	}
 	err := d.writeBatch(st, p)
+	if d.latch != nil {
+		d.latch.Unlock()
+	}
 	d.spans = clearSpans(d.spans)
 	d.sorted = clearSpans(d.sorted)
 	d.ops = d.ops[:0]
@@ -345,13 +397,15 @@ func (d *diskSched) flushWrites(env transport.Env, st storage.Store) error {
 }
 
 // writeBatch executes one planned batch's writes: single-run operations
-// write their payload directly, and coalesced ones hand their payload
-// slices to the store as one vectored gather (storage.WriteAtv —
-// pwritev on file stores), zero-copy. Coalesced write runs are always
-// strictly adjacent (the join rule), so the gather covers the
-// operation exactly and op.n is the runs' byte total. Runs averaging
-// below the vecMin floor gather into a pooled scratch buffer and issue
-// one scalar WriteAt instead.
+// write their payload directly, and coalesced gap-free ones hand their
+// payload slices to the store as one vectored gather (storage.WriteAtv
+// — pwritev on file stores), zero-copy; the gather covers the operation
+// exactly. Runs averaging below the vecMin floor gather into a pooled
+// scratch buffer and issue one scalar WriteAt instead. A sieved
+// operation (op.gap > 0) takes the same staging path, after one ReadAt
+// of its extent fills the holes with the bytes already on disk. The
+// caller holds the object's latch, so no other store write lands
+// between that read and the write-back.
 func (d *diskSched) writeBatch(st storage.Store, p segPlan) error {
 	for _, op := range d.ops[p.opsFrom:p.opsTo] {
 		runs := d.sorted[op.first : op.first+op.count]
@@ -361,7 +415,7 @@ func (d *diskSched) writeBatch(st storage.Store, p segPlan) error {
 			}
 			continue
 		}
-		if op.n >= d.vecMin*int64(op.count) {
+		if op.gap == 0 && op.n >= d.vecMin*int64(op.count) {
 			iov := d.iov[:0]
 			for _, sp := range runs {
 				iov = append(iov, sp.data)
@@ -377,6 +431,12 @@ func (d *diskSched) writeBatch(st storage.Store, p segPlan) error {
 			continue
 		}
 		bp := getBuf(int(op.n))
+		if op.gap > 0 {
+			if err := st.ReadAt(*bp, op.off); err != nil {
+				putBuf(bp)
+				return err
+			}
+		}
 		for _, sp := range runs {
 			copy((*bp)[sp.off-op.off:], sp.data)
 		}

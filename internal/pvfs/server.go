@@ -206,6 +206,17 @@ type Server struct {
 	// over-reading disk operation (0 = merge strictly adjacent runs
 	// only; see DefaultSieveGapBytes).
 	SieveGapBytes int64
+	// AdjacentWritesOnly turns server-side write sieving off: write runs
+	// then coalesce only when strictly adjacent, and no write touches a
+	// byte its payload does not cover. The simulated paper grid sets it,
+	// because PVFS 1 never wrote a gap byte; everything else leaves
+	// sieving on (DESIGN.md §10).
+	AdjacentWritesOnly bool
+	// latches serialize the store mutations of an object — write
+	// batches, truncates, removal and repair copies — so a sieved write's
+	// read-modify-write of a hole never interleaves with another writer
+	// of those bytes. Indexed by handle; see latch.
+	latches [64]sync.Mutex
 	// Stats (optional) collects the disk-scheduler counters: runs
 	// presented, operations dispatched, head travel.
 	Stats *iostats.Stats
@@ -492,6 +503,13 @@ func sleepBoth(env transport.Env, d time.Duration) {
 	if rest := target - env.Now(); rest > 0 {
 		time.Sleep(rest)
 	}
+}
+
+// latch returns the mutex that serializes store mutations of handle's
+// object. It is the innermost lock: resolve the store (object, which
+// takes mu) before taking it, and never take mu while holding it.
+func (s *Server) latch(handle uint64) *sync.Mutex {
+	return &s.latches[handle%uint64(len(s.latches))]
 }
 
 // object returns (creating on demand) the local store for a handle.
@@ -825,8 +843,11 @@ func (s *Server) dispatch(env transport.Env, conn transport.Conn, t wire.MsgType
 		return resp, 0, nil
 	case wire.MTRemoveObjReq:
 		r := v.(*wire.RemoveObjReq)
+		l := s.latch(r.Layout.Handle)
 		s.mu.Lock()
+		l.Lock()
 		delete(s.objects, r.Layout.Handle)
+		l.Unlock()
 		s.mu.Unlock()
 		return wire.EncodeIOResp(&wire.IOResp{Seq: r.Tag.Seq, OK: true}), 0, nil
 	case wire.MTAdminReq:
@@ -852,7 +873,12 @@ func (s *Server) truncate(r *wire.TruncateReq) []byte {
 		return ioErrSeq(r.Tag.Seq, "negative size %d", r.Size)
 	}
 	local := lay.LocalLen(int(r.Layout.ServerIdx), r.Size)
-	if err := s.object(r.Layout.Handle).Truncate(local); err != nil {
+	st := s.object(r.Layout.Handle)
+	l := s.latch(r.Layout.Handle)
+	l.Lock()
+	err = st.Truncate(local)
+	l.Unlock()
+	if err != nil {
 		return ioErrSeq(r.Tag.Seq, "truncate: %v", err)
 	}
 	return wire.EncodeIOResp(&wire.IOResp{Seq: r.Tag.Seq, OK: true})
@@ -1224,7 +1250,8 @@ func (s *Server) repairChunk(env transport.Env, conn transport.Conn, h uint64, o
 	// mu so a concurrent write cannot slip between the written-set check
 	// and the store write and then be clobbered by stale peer bytes
 	// (noteWrite precedes the client's store write, so whichever side
-	// takes mu second wins correctly).
+	// takes mu second wins correctly). The object's latch, taken inside
+	// mu, orders the copy against write batches and truncates.
 	s.mu.Lock()
 	if s.closed || s.incarnation != inc {
 		s.mu.Unlock()
@@ -1241,12 +1268,15 @@ func (s *Server) repairChunk(env transport.Env, conn transport.Conn, h uint64, o
 	}
 	var copied int64
 	var werr error
+	l := s.latch(h)
+	l.Lock()
 	for _, reg := range todo {
 		if werr = st.WriteAt(resp.Data[reg.Off-off:reg.End()-off], reg.Off); werr != nil {
 			break
 		}
 		copied += reg.N
 	}
+	l.Unlock()
 	s.mu.Unlock()
 	if s.Stats != nil && copied > 0 {
 		s.Stats.AddRepair(copied)
@@ -1345,14 +1375,20 @@ type regionsFn func(emit func(off, n int64) error) error
 // which dispatches them in sorted, coalesced order and charges the
 // seek-aware disk cost. An inline payload dispatches as one batch; a
 // streamed one dispatches a batch at every flow-control segment
-// boundary, before the segment buffer is reused.
+// boundary, before the segment buffer is reused. A request that starts
+// while the server is repairing does not sieve, so every byte it writes
+// is a payload byte the repair mask records.
 func (s *Server) applyWrite(env transport.Env, lay striping.Layout, idx int, handle uint64, st storage.Store, regions regionsFn, src *writeSrc, seq uint64, sp *trace.Span) ([]byte, error) {
 	sd := s.newSched(true)
 	defer putSched(sd)
+	sd.latch = s.latch(handle)
 	if src.stream != nil {
 		src.flush = func(env transport.Env) error { return s.flushTraced(env, sd, st, sp) }
 	}
 	repairing := s.repairLive.Load()
+	if repairing {
+		sd.sieve = false
+	}
 	var nPieces int64
 	err := regions(func(off, n int64) error {
 		var inner error

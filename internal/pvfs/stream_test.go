@@ -11,6 +11,7 @@ import (
 
 	"dtio/internal/dataloop"
 	"dtio/internal/datatype"
+	"dtio/internal/iostats"
 	"dtio/internal/storage"
 	"dtio/internal/transport"
 	"dtio/internal/wire"
@@ -366,11 +367,12 @@ func TestServerReadHotPathAllocs(t *testing.T) {
 // TestServerWriteHotPathAllocs is the write-side twin of the read
 // bound: an inline noncontiguous dtype write of many pieces must stay
 // within the same small constant — the scheduler, the payload source,
-// and the scatter-gather list are all pooled, and vectored dispatch
-// gathers payload slices without a staging copy.
+// and the staging buffer are all pooled. Its 512 runs of 8 B with 8 B
+// holes take the sieved path: one dispatched op per request.
 func TestServerWriteHotPathAllocs(t *testing.T) {
 	env := transport.NewRealEnv()
 	s := NewServer(transport.NewMemNetwork(), "x", 0, CostModel{})
+	s.Stats = &iostats.Stats{}
 	fileTy := datatype.Vector(512, 1, 2, datatype.Int64) // 512 pieces
 	loop := dataloop.FromType(fileTy)
 	req := wire.EncodeDtype(&wire.DtypeReq{
@@ -386,7 +388,9 @@ func TestServerWriteHotPathAllocs(t *testing.T) {
 	if _, v, err := wire.DecodeMsg(resp); err != nil || !v.(*wire.IOResp).OK {
 		t.Fatalf("warmup response not OK: %v %v", v, err)
 	}
+	calls := int64(1)
 	allocs := testing.AllocsPerRun(50, func() {
+		calls++
 		resp, err := s.handle(env, nil, req)
 		if err != nil || resp == nil {
 			t.Fatalf("resp=%v err=%v", resp, err)
@@ -394,6 +398,10 @@ func TestServerWriteHotPathAllocs(t *testing.T) {
 	})
 	if allocs > 32 {
 		t.Fatalf("dtype write hot path allocates %.0f per request", allocs)
+	}
+	if st := s.Stats.Snapshot(); st.DiskOpsMerged != calls || st.DiskRMWOps != calls {
+		t.Fatalf("%d requests dispatched %d ops (%d sieved), want one sieved op each",
+			calls, st.DiskOpsMerged, st.DiskRMWOps)
 	}
 }
 
