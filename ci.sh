@@ -17,6 +17,10 @@ go test -race -timeout 300s ./...
 # globals, leftover files) shows up as an order dependence long before
 # it shows up as a flake.
 go test -shuffle=on -timeout 300s ./...
+# The lease protocol re-enters the client's data path (cache fills and
+# flushes run inside cached operations and revocations); ten repeats
+# under the race detector shake out interleavings one pass misses.
+go test -race -count 10 -timeout 300s -run '^Test(Cache|Revoke)' ./internal/pvfs
 # The race detector instruments allocations, so the hot-path and
 # alloc-free bounds are only exact without it.
 go test -count 1 -timeout 120s -run Alloc ./...

@@ -11,19 +11,48 @@ import (
 	"dtio/internal/transport"
 )
 
+// pairWalk walks an access's file view and memory type together, one
+// piece contiguous in both per next, in stream order: file offset fo,
+// buffer offset mo, length n. Every method that flattens on the client
+// walks through here, so this is the one place that decides how. It is
+// an iterator, not a callback, so the per-piece bodies of sieving and
+// two-phase stay inline in their loops: with FLASH's 8-byte pieces a
+// call per piece is a measurable share of two-phase's pack.
+type pairWalk struct {
+	d   *flatten.Dual // nil for an empty access
+	buf []byte
+	err error // a memory piece outside buf, which ends the walk
+}
+
+// pairs starts the pair walk of the view window [pos, pos+nbytes).
+func (f *File) pairs(pos, nbytes int64, buf []byte, memType *datatype.Type, memCount int) pairWalk {
+	w := pairWalk{buf: buf}
+	if nbytes > 0 {
+		w.d = flatten.NewDual(f.fileWindow(pos, nbytes), memSource(memType, memCount))
+	}
+	return w
+}
+
+// next returns the next piece; ok is false at the end of the access and
+// at a memory piece outside the buffer, which sets err.
+func (w *pairWalk) next() (fo, mo, n int64, ok bool) {
+	if w.d == nil {
+		return 0, 0, 0, false
+	}
+	if fo, mo, n, ok = w.d.Next(); ok && (mo < 0 || mo+n > int64(len(w.buf))) {
+		w.err = fmt.Errorf("mpiio: memory region [%d,%d) outside buffer", mo, mo+n)
+		w.d = nil
+		return 0, 0, 0, false
+	}
+	return fo, mo, n, ok
+}
+
 // posix breaks the access into one contiguous file-system operation per
 // run that is contiguous in both file and memory — the naive method of
 // paper §2.1.
 func (f *File) posix(env transport.Env, pos, nbytes int64, buf []byte, memType *datatype.Type, memCount int, write bool) error {
-	d := flatten.NewDual(f.fileWindow(pos, nbytes), memSource(memType, memCount))
-	for {
-		fo, mo, n, ok := d.Next()
-		if !ok {
-			return nil
-		}
-		if mo < 0 || mo+n > int64(len(buf)) {
-			return fmt.Errorf("mpiio: memory region [%d,%d) outside buffer", mo, mo+n)
-		}
+	w := f.pairs(pos, nbytes, buf, memType, memCount)
+	for fo, mo, n, ok := w.next(); ok; fo, mo, n, ok = w.next() {
 		var err error
 		if write {
 			err = f.pv.WriteContig(env, fo, buf[mo:mo+n])
@@ -34,68 +63,24 @@ func (f *File) posix(env transport.Env, pos, nbytes int64, buf []byte, memType *
 			return err
 		}
 	}
+	return w.err
 }
 
-// sieveRead reads large windows covering the noncontiguous regions into a
-// scratch buffer and extracts the desired bytes (paper §2.2). Windows
-// advance through the file; an out-of-window region simply starts a new
-// window (our evaluation patterns are monotone, as ROMIO's flattened
+// sieve is data sieving (paper §2.2): it moves large windows covering
+// the noncontiguous regions between the file and a scratch buffer, and
+// the desired bytes between that buffer and memory. Windows advance
+// through the file; an out-of-window region simply starts a new window
+// (our evaluation patterns are monotone, as ROMIO's flattened
 // representations usually are).
-func (f *File) sieveRead(env transport.Env, pos, nbytes int64, buf []byte, memType *datatype.Type, memCount int) error {
-	last := f.lastFileByte(pos, nbytes)
-	bufSize := f.hints.SieveBufSize
-	if bufSize <= 0 {
-		bufSize = DefaultHints().SieveBufSize
-	}
-	var (
-		sbuf     []byte
-		wlo, whi int64
-	)
-	var pieces int64
-	d := flatten.NewDual(f.fileWindow(pos, nbytes), memSource(memType, memCount))
-	for {
-		fo, mo, n, ok := d.Next()
-		if !ok {
-			env.Compute(f.pv.Cost().MemcpyPerPiece * time.Duration(pieces))
-			return nil
-		}
-		pieces++
-		if mo < 0 || mo+n > int64(len(buf)) {
-			return fmt.Errorf("mpiio: memory region [%d,%d) outside buffer", mo, mo+n)
-		}
-		for n > 0 {
-			if sbuf == nil || fo < wlo || fo >= whi {
-				wlo = fo
-				whi = wlo + bufSize
-				if whi > last+1 {
-					whi = last + 1
-				}
-				sbuf = make([]byte, whi-wlo)
-				if err := f.pv.ReadContig(env, wlo, sbuf); err != nil {
-					return err
-				}
-			}
-			take := n
-			if fo+take > whi {
-				take = whi - fo
-			}
-			copy(buf[mo:mo+take], sbuf[fo-wlo:fo-wlo+take])
-			fo += take
-			mo += take
-			n -= take
-		}
-	}
-}
-
-// sieveWrite is data sieving for writes, the cell the paper's matrix
-// left empty (§4.1): each buffer-sized window is locked exclusively at
-// the metadata server, read, modified in memory, and written back, so
-// the bytes between the desired regions survive concurrent writers.
-// Windows advance through the file as in sieveRead. When locked is true
-// an atomic-mode lock already spans the whole access and the per-window
+//
+// Writing is the cell the paper's matrix left empty (§4.1): each window
+// is locked exclusively at the metadata server, read, modified in
+// memory, and written back before the unlock, so the bytes between the
+// desired regions survive concurrent writers. When locked is true an
+// atomic-mode lock already spans the whole access and the per-window
 // locks are skipped — a second lock from the same holder would queue
 // behind the first forever.
-func (f *File) sieveWrite(env transport.Env, pos, nbytes int64, buf []byte, memType *datatype.Type, memCount int, locked bool) error {
+func (f *File) sieve(env transport.Env, pos, nbytes int64, buf []byte, memType *datatype.Type, memCount int, write, locked bool) error {
 	last := f.lastFileByte(pos, nbytes)
 	bufSize := f.hints.SieveBufSize
 	if bufSize <= 0 {
@@ -111,9 +96,10 @@ func (f *File) sieveWrite(env transport.Env, pos, nbytes int64, buf []byte, memT
 			f.pv.Unlock(env, lk)
 		}
 	}()
-	// flush writes the current window back and releases its lock.
+	// flush ends the current window: a write's is written back and its
+	// lock released.
 	flush := func() error {
-		if sbuf == nil {
+		if !write || sbuf == nil {
 			return nil
 		}
 		err := f.pv.WriteContig(env, wlo, sbuf)
@@ -127,20 +113,9 @@ func (f *File) sieveWrite(env transport.Env, pos, nbytes int64, buf []byte, memT
 		return err
 	}
 	var pieces int64
-	d := flatten.NewDual(f.fileWindow(pos, nbytes), memSource(memType, memCount))
-	for {
-		fo, mo, n, ok := d.Next()
-		if !ok {
-			if err := flush(); err != nil {
-				return err
-			}
-			env.Compute(f.pv.Cost().MemcpyPerPiece * time.Duration(pieces))
-			return nil
-		}
+	w := f.pairs(pos, nbytes, buf, memType, memCount)
+	for fo, mo, n, ok := w.next(); ok; fo, mo, n, ok = w.next() {
 		pieces++
-		if mo < 0 || mo+n > int64(len(buf)) {
-			return fmt.Errorf("mpiio: memory region [%d,%d) outside buffer", mo, mo+n)
-		}
 		for n > 0 {
 			if sbuf == nil || fo < wlo || fo >= whi {
 				if err := flush(); err != nil {
@@ -151,10 +126,9 @@ func (f *File) sieveWrite(env transport.Env, pos, nbytes int64, buf []byte, memT
 				if whi > last+1 {
 					whi = last + 1
 				}
-				if !locked {
+				if write && !locked {
 					var err error
-					lk, err = f.pv.Lock(env, wlo, whi-wlo, false)
-					if err != nil {
+					if lk, err = f.pv.Lock(env, wlo, whi-wlo, false); err != nil {
 						return err
 					}
 				}
@@ -167,12 +141,24 @@ func (f *File) sieveWrite(env transport.Env, pos, nbytes int64, buf []byte, memT
 			if fo+take > whi {
 				take = whi - fo
 			}
-			copy(sbuf[fo-wlo:fo-wlo+take], buf[mo:mo+take])
+			if write {
+				copy(sbuf[fo-wlo:fo-wlo+take], buf[mo:mo+take])
+			} else {
+				copy(buf[mo:mo+take], sbuf[fo-wlo:fo-wlo+take])
+			}
 			fo += take
 			mo += take
 			n -= take
 		}
 	}
+	if w.err != nil {
+		return w.err
+	}
+	if err := flush(); err != nil {
+		return err
+	}
+	env.Compute(f.pv.Cost().MemcpyPerPiece * time.Duration(pieces))
+	return nil
 }
 
 // listIO flattens both sides into offset-length lists and issues list
@@ -213,15 +199,8 @@ func (f *File) listIO(env transport.Env, pos, nbytes int64, buf []byte, memType 
 		k := len(regs)
 		return k == 0 || regs[k-1].Off+regs[k-1].Len != off
 	}
-	d := flatten.NewDual(f.fileWindow(pos, nbytes), memSource(memType, memCount))
-	for {
-		fo, mo, n, ok := d.Next()
-		if !ok {
-			break
-		}
-		if mo < 0 || mo+n > int64(len(buf)) {
-			return fmt.Errorf("mpiio: memory region [%d,%d) outside buffer", mo, mo+n)
-		}
+	w := f.pairs(pos, nbytes, buf, memType, memCount)
+	for fo, mo, n, ok := w.next(); ok; fo, mo, n, ok = w.next() {
 		if (wouldGrow(fileRegs, fo) && len(fileRegs) == maxRegs) ||
 			(wouldGrow(memRegs, mo) && len(memRegs) == maxRegs) {
 			if err := flush(); err != nil {
@@ -230,6 +209,9 @@ func (f *File) listIO(env transport.Env, pos, nbytes int64, buf []byte, memType 
 		}
 		fileRegs = add(fileRegs, fo, n)
 		memRegs = add(memRegs, mo, n)
+	}
+	if w.err != nil {
+		return w.err
 	}
 	return flush()
 }

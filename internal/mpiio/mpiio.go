@@ -80,7 +80,7 @@ func DefaultHints() Hints {
 // ErrSieveWrite is returned for data sieving writes under the NoLocks
 // hint: the read-modify-write needs its window locked, and the hint
 // reproduces the paper's lockless PVFS (§4.1). With locks available
-// (the default) sieving writes take the real path in sieveWrite.
+// (the default) sieving writes take the real path in sieve.
 var ErrSieveWrite = errors.New("mpiio: data sieving writes require file locking, disabled by the NoLocks hint")
 
 // ErrAtomicTwoPhase rejects atomic mode on a two-phase file: ranks
@@ -389,10 +389,10 @@ func (f *File) dispatch(env transport.Env, pos, nbytes int64, buf []byte, memTyp
 			// Sieving writes lock their windows; cache accesses inside
 			// would queue behind our own lock.
 			return f.uncached(func() error {
-				return f.sieveWrite(env, pos, nbytes, buf, memType, memCount, locked)
+				return f.sieve(env, pos, nbytes, buf, memType, memCount, true, locked)
 			})
 		}
-		return f.sieveRead(env, pos, nbytes, buf, memType, memCount)
+		return f.sieve(env, pos, nbytes, buf, memType, memCount, false, false)
 	case ListIO:
 		return f.listIO(env, pos, nbytes, buf, memType, memCount, write)
 	case DtypeIO:

@@ -125,20 +125,9 @@ type tpPiece struct {
 // roundPieces walks this rank's access and collects, per aggregator, the
 // pieces falling into that aggregator's round-r chunk.
 func (f *File) roundPieces(p *tpPlan, r int, pos, nbytes int64, memType *datatype.Type, memCount int, buf []byte) ([][]tpPiece, error) {
-	size := f.comm.Size()
-	out := make([][]tpPiece, size)
-	if nbytes == 0 {
-		return out, nil
-	}
-	d := flatten.NewDual(f.fileWindow(pos, nbytes), memSource(memType, memCount))
-	for {
-		fo, mo, n, ok := d.Next()
-		if !ok {
-			return out, nil
-		}
-		if mo < 0 || mo+n > int64(len(buf)) {
-			return nil, fmt.Errorf("mpiio: memory region [%d,%d) outside buffer", mo, mo+n)
-		}
+	out := make([][]tpPiece, f.comm.Size())
+	w := f.pairs(pos, nbytes, buf, memType, memCount)
+	for fo, mo, n, ok := w.next(); ok; fo, mo, n, ok = w.next() {
 		// A piece may span several aggregators' chunks.
 		aFirst := p.aggOf(fo)
 		aLast := p.aggOf(fo + n - 1)
@@ -158,6 +147,10 @@ func (f *File) roundPieces(p *tpPlan, r int, pos, nbytes int64, memType *datatyp
 			})
 		}
 	}
+	if w.err != nil {
+		return nil, w.err
+	}
+	return out, nil
 }
 
 // decodeReq parses a wire region list into (off, len) pairs.
@@ -422,37 +415,31 @@ func (f *File) buildWriteRound(p *tpPlan, r int, pos, nbytes int64, buf []byte, 
 	size := f.comm.Size()
 	regs := make([][]flatten.Region, size)
 	data := make([][]byte, size)
-	if nbytes > 0 {
-		d := flatten.NewDual(f.fileWindow(pos, nbytes), memSource(memType, memCount))
-		for {
-			fo, mo, n, ok := d.Next()
+	w := f.pairs(pos, nbytes, buf, memType, memCount)
+	for fo, mo, n, ok := w.next(); ok; fo, mo, n, ok = w.next() {
+		pieces++
+		aFirst := p.aggOf(fo)
+		aLast := p.aggOf(fo + n - 1)
+		for a := aFirst; a <= aLast; a++ {
+			lo, hi := p.chunk(a, r)
+			if lo == hi {
+				continue
+			}
+			c, ok := flatten.Clip(flatten.Region{Off: fo, Len: n}, lo, hi)
 			if !ok {
-				break
+				continue
 			}
-			pieces++
-			if mo < 0 || mo+n > int64(len(buf)) {
-				return nil, nil, 0, fmt.Errorf("mpiio: memory region [%d,%d) outside buffer", mo, mo+n)
+			if k := len(regs[a]); k > 0 && regs[a][k-1].Off+regs[a][k-1].Len == c.Off {
+				regs[a][k-1].Len += c.Len
+			} else {
+				regs[a] = append(regs[a], c)
 			}
-			aFirst := p.aggOf(fo)
-			aLast := p.aggOf(fo + n - 1)
-			for a := aFirst; a <= aLast; a++ {
-				lo, hi := p.chunk(a, r)
-				if lo == hi {
-					continue
-				}
-				c, ok := flatten.Clip(flatten.Region{Off: fo, Len: n}, lo, hi)
-				if !ok {
-					continue
-				}
-				if k := len(regs[a]); k > 0 && regs[a][k-1].Off+regs[a][k-1].Len == c.Off {
-					regs[a][k-1].Len += c.Len
-				} else {
-					regs[a] = append(regs[a], c)
-				}
-				m := mo + (c.Off - fo)
-				data[a] = append(data[a], buf[m:m+c.Len]...)
-			}
+			m := mo + (c.Off - fo)
+			data[a] = append(data[a], buf[m:m+c.Len]...)
 		}
+	}
+	if w.err != nil {
+		return nil, nil, 0, w.err
 	}
 	send = make([][]byte, size)
 	dataLens = make([]int64, size)

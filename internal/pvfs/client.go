@@ -239,7 +239,8 @@ type opObs struct {
 }
 
 // beginOp opens the operation span and latency clock. The span becomes
-// the parent for request tags and attempt spans until endOp/clearOp.
+// the parent for request tags and attempt spans until File.do restores
+// the one it replaced.
 func (c *Client) beginOp(env transport.Env, name string) opObs {
 	if c.Tracer == nil && c.OpLat == nil {
 		return opObs{}
@@ -261,12 +262,6 @@ func (c *Client) endOp(env transport.Env, o opObs, nbytes int64) {
 	o.sp.SetAttr("bytes", nbytes)
 	o.sp.End(env)
 	c.OpLat.Observe(env.Now() - o.start)
-}
-
-// clearOp detaches the operation span (deferred by every instrumented
-// op, so later untraced requests cannot parent to a finished span).
-func (c *Client) clearOp() {
-	c.opSpan = nil
 }
 
 // serverError is a response the server itself produced: the request was
@@ -530,13 +525,12 @@ func (c *Client) Remove(env transport.Env, name string) error {
 	if _, err := c.metaCall(env, c.shards.OfName(name), wire.EncodeRemove(&wire.RemoveReq{Name: name})); err != nil {
 		return err
 	}
-	tag := c.tag()
 	// Removal mutates every replica member, so it rides the write
 	// fan-out path (with no payload to carry).
-	return c.writeGroups(env, f.allGroups(), make([][]byte, f.layout.NServers),
-		func(g, m int, _ []byte) []byte {
+	return c.writeGroups(env, f.allGroups(), make([][]byte, f.layout.NServers), c.tag(),
+		func(tag wire.ReqTag, g, m int, _ []byte) []byte {
 			return wire.EncodeRemoveObj(&wire.RemoveObjReq{Tag: tag, Layout: f.wireLayout(g, m)})
-		}, tag.Seq)
+		})
 }
 
 // ListNames returns the namespace contents: each shard's partition,
@@ -742,8 +736,8 @@ func (c *Client) sleepBackoff(env transport.Env, backoff time.Duration) time.Dur
 }
 
 // tryExchange is one attempt of exchange: dial if needed, send, await
-// the matching response.
-func (c *Client) tryExchange(env transport.Env, s int, req []byte, descLen int64, seq uint64) (*wire.IOResp, error) {
+// the matching response, which may carry at most max bytes of data.
+func (c *Client) tryExchange(env transport.Env, s int, req []byte, descLen int64, seq uint64, max int64) (*wire.IOResp, error) {
 	conn, err := c.conn(env, s)
 	if err != nil {
 		return nil, err
@@ -754,7 +748,7 @@ func (c *Client) tryExchange(env transport.Env, s int, req []byte, descLen int64
 	if st := c.stats(); st != nil {
 		st.AddWire(descLen)
 	}
-	return c.recvResp(env, conn, s, seq, c.Retry.Timeout)
+	return c.recvResp(env, conn, s, seq, c.Retry.Timeout, max)
 }
 
 // recvResp receives frames from conn until the response matching seq
@@ -762,8 +756,11 @@ func (c *Client) tryExchange(env transport.Env, s int, req []byte, descLen int64
 // on the same connection — duplicated responses with a stale Seq,
 // leftover stream acks — is discarded; a response stream with a stale
 // Seq cannot be skipped coherently, so it fails the attempt and the
-// caller redials.
-func (c *Client) recvResp(env transport.Env, conn transport.Conn, s int, seq uint64, timeout time.Duration) (*wire.IOResp, error) {
+// caller redials. A response carrying more than max bytes of data is
+// rejected, a streamed one before anything is allocated for it: the
+// length comes from outside the process, and no reply to an operation
+// holds more than the operation reads (writes and size queries read 0).
+func (c *Client) recvResp(env transport.Env, conn transport.Conn, s int, seq uint64, timeout time.Duration, max int64) (*wire.IOResp, error) {
 	for {
 		raw, err := transport.RecvTimeout(env, conn, timeout)
 		if err != nil {
@@ -782,13 +779,16 @@ func (c *Client) recvResp(env transport.Env, conn transport.Conn, s int, seq uin
 			if !r.OK {
 				return nil, &serverError{s: s, msg: r.Err}
 			}
+			if int64(len(r.Data)) > max {
+				return nil, fmt.Errorf("pvfs: server %d replied %d bytes to an operation reading %d", s, len(r.Data), max)
+			}
 			return r, nil
 		case wire.MTReadStreamHdr:
 			h := v.(*wire.ReadStreamHdr)
 			if h.Seq != seq {
 				return nil, fmt.Errorf("pvfs: server %d: stale stream (seq %d, want %d)", s, h.Seq, seq)
 			}
-			data, err := c.recvStream(env, conn, h, timeout)
+			data, err := c.recvStream(env, conn, h, timeout, max)
 			if err != nil {
 				return nil, fmt.Errorf("pvfs: server %d: %w", s, err)
 			}
@@ -805,9 +805,10 @@ func (c *Client) recvResp(env transport.Env, conn transport.Conn, s int, seq uin
 // segments are consumed. Duplicated already-consumed chunks are
 // skipped; a gap or a short/timed-out receive fails the attempt, and
 // the caller drops the connection (the stream cannot resynchronize).
-func (c *Client) recvStream(env transport.Env, conn transport.Conn, h *wire.ReadStreamHdr, timeout time.Duration) ([]byte, error) {
-	if h.Total <= 0 || h.SegBytes <= 0 || h.Window <= 0 {
-		return nil, fmt.Errorf("bad stream header total=%d seg=%d window=%d", h.Total, h.SegBytes, h.Window)
+// A header announcing more than max bytes fails before the allocation.
+func (c *Client) recvStream(env transport.Env, conn transport.Conn, h *wire.ReadStreamHdr, timeout time.Duration, max int64) ([]byte, error) {
+	if h.Total <= 0 || h.Total > max || h.SegBytes <= 0 || h.Window <= 0 {
+		return nil, fmt.Errorf("bad stream header total=%d (operation reads %d) seg=%d window=%d", h.Total, max, h.SegBytes, h.Window)
 	}
 	total, seg, window := h.Total, int64(h.SegBytes), int64(h.Window)
 	nseg := (total + seg - 1) / seg
@@ -866,10 +867,10 @@ func (c *Client) dropConn(s int) {
 // hitting the member whose page cache has it); suspected-dead members
 // are skipped up front, and each failed attempt rotates to the next
 // member, so failover from a freshly-dead server costs one failed
-// attempt, not a retry ladder. mkReq builds the frame addressed to one
-// member; seq is the operation tag's sequence, which matches responses
-// to this request generation.
-func (f *File) readGroups(env transport.Env, off int64, groups []int, mkReq func(g, member int) []byte, seq uint64) ([]*wire.IOResp, error) {
+// attempt, not a retry ladder. enc builds the frame addressed to one
+// member, carrying tag, whose sequence matches responses to this
+// request generation; max bounds each response's data.
+func (f *File) readGroups(env transport.Env, off int64, groups []int, tag wire.ReqTag, enc encoder, max int64) ([]*wire.IOResp, error) {
 	c := f.c
 	k := c.k()
 	out := make([]*wire.IOResp, len(groups))
@@ -889,8 +890,8 @@ func (f *File) readGroups(env transport.Env, off int64, groups []int, mkReq func
 		i, g := i, g
 		fns[i] = func(env transport.Env) error {
 			return c.exchange(env, "attempt", g, first, start, k, 0, func(env transport.Env, _ *trace.Span, m, phys int) (int64, error) {
-				req := mkReq(g, m)
-				r, err := c.tryExchange(env, phys, req, int64(len(req)), seq)
+				req := enc(tag, g, m, nil)
+				r, err := c.tryExchange(env, phys, req, int64(len(req)), tag.Seq, max)
 				out[i] = r
 				return 0, err
 			})
@@ -905,10 +906,10 @@ func (f *File) readGroups(env transport.Env, off int64, groups []int, mkReq func
 // writeGroups issues one write per involved replica group and waits for
 // the acks: one sibling thread per (group, member), every member
 // receiving its group's full payload. payloads is indexed by group;
-// mkReq builds the (inline or inner) request for one member and must
-// embed the tag whose sequence is seq, so retries of either form hit
-// the server's replay cache (the per-client replay rings make the k
-// copies independently at-most-once).
+// enc builds the (inline or inner) request for one member, carrying
+// tag, so retries of either form hit the server's replay cache (the
+// per-client replay rings make the k copies independently
+// at-most-once).
 //
 // Every reachable member must ack. A member that exhausts its retries
 // with connection-class failures is abandoned — marked suspect, its
@@ -923,7 +924,7 @@ func (f *File) readGroups(env transport.Env, off int64, groups []int, mkReq func
 // the kill path (wipe, then re-replicate from a surviving peer). A
 // plain crash-restart shorter than the retry ladder is ridden out by
 // the retries themselves.
-func (c *Client) writeGroups(env transport.Env, groups []int, payloads [][]byte, mkReq func(g, member int, data []byte) []byte, seq uint64) error {
+func (c *Client) writeGroups(env transport.Env, groups []int, payloads [][]byte, tag wire.ReqTag, enc encoder) error {
 	k := c.k()
 	// Pre-dial best-effort so the transfers proceed concurrently; a dead
 	// or suspected member is left for its retry ladder.
@@ -940,7 +941,7 @@ func (c *Client) writeGroups(env transport.Env, groups []int, payloads [][]byte,
 		for j := 0; j < k; j++ {
 			i, g, j := gi*k+j, g, j
 			fns[i] = func(env transport.Env) error {
-				errs[i] = c.writeMember(env, g, j, payloads[g], mkReq, seq)
+				errs[i] = c.writeMember(env, g, j, payloads[g], tag, enc)
 				return nil
 			}
 		}
@@ -992,7 +993,7 @@ func (c *Client) writeGroups(env transport.Env, groups []int, payloads [][]byte,
 // instead: a member wiped by a kill mid-stream lost its acknowledged
 // prefix (still idempotent, and a fully-applied duplicate is suppressed
 // by the replay ring).
-func (c *Client) writeMember(env transport.Env, g, m int, payload []byte, mkReq func(g, member int, data []byte) []byte, seq uint64) error {
+func (c *Client) writeMember(env transport.Env, g, m int, payload []byte, tag wire.ReqTag, enc encoder) error {
 	k := c.k()
 	attempts := 0 // the retry policy's
 	if k > 1 && c.isSuspect(env, c.phys(g, m)) {
@@ -1001,17 +1002,17 @@ func (c *Client) writeMember(env transport.Env, g, m int, payload []byte, mkReq 
 	seg, window := streamParams(c.StreamChunkBytes, c.StreamWindow)
 	total := int64(len(payload))
 	if total <= seg {
-		req := mkReq(g, m, payload)
+		req := enc(tag, g, m, payload)
 		return c.exchange(env, "attempt", g, m, m, 1, attempts, func(env transport.Env, _ *trace.Span, _, phys int) (int64, error) {
-			_, err := c.tryExchange(env, phys, req, int64(len(req))-total, seq)
+			_, err := c.tryExchange(env, phys, req, int64(len(req))-total, tag.Seq, 0)
 			return total, err
 		})
 	}
-	inner := mkReq(g, m, nil)
+	inner := enc(tag, g, m, nil)
 	resume := int64(0)
 	return c.exchange(env, "write-stream-attempt", g, m, m, 1, attempts, func(env transport.Env, sp *trace.Span, _, phys int) (int64, error) {
 		sp.SetAttr("resume_seg", resume)
-		next, err := c.tryWriteStream(env, phys, payload, inner, seg, window, seq, resume)
+		next, err := c.tryWriteStream(env, phys, payload, inner, seg, window, tag.Seq, resume)
 		if next > resume && k == 1 {
 			resume = next
 		}
@@ -1064,19 +1065,17 @@ func (c *Client) tryWriteStream(env transport.Env, s int, payload, inner []byte,
 	if err != nil {
 		return resume, fmt.Errorf("pvfs: server %d: %w", s, err)
 	}
-	_, err = c.recvResp(env, conn, s, seq, c.Retry.Timeout)
+	_, err = c.recvResp(env, conn, s, seq, c.Retry.Timeout, 0)
 	return resume, err
 }
 
-// involvedServers reports which servers hold any byte of the given
-// regions (emitted in ascending server order).
-func (f *File) involvedServers(regions func(emit func(off, n int64))) []int {
+// involvedServers reports which servers hold any byte of [off, off+n),
+// in ascending server order.
+func (f *File) involvedServers(off, n int64) []int {
 	present := make([]bool, f.layout.NServers)
-	regions(func(off, n int64) {
-		f.layout.Split(off, n, func(p striping.Piece) bool {
-			present[p.Server] = true
-			return true
-		})
+	f.layout.Split(off, n, func(p striping.Piece) bool {
+		present[p.Server] = true
+		return true
 	})
 	var out []int
 	for s, p := range present {
@@ -1097,107 +1096,322 @@ func (f *File) allGroups() []int {
 	return out
 }
 
-// ReadContig reads len(buf) bytes at logical offset off. One logical I/O
-// operation; one request per involved server.
-func (f *File) ReadContig(env transport.Env, off int64, buf []byte) error {
+// encoder is a per-member wire encoder: the request carrying tag for
+// member m of replica group g, with the group's payload data on a
+// write (nil on a read, and for a streamed write's inner request).
+type encoder func(tag wire.ReqTag, g, m int, data []byte) []byte
+
+// jobCPU is how a plan charges the client's job building, priced at
+// CostModel.PerRegionClient per piece.
+type jobCPU uint8
+
+const (
+	noJob      jobCPU = iota // contiguous I/O builds no job
+	serialJob                // list I/O: built before a write is sent, after a read is scattered
+	overlapJob               // datatype I/O: built while the transfer runs
+)
+
+// plan is one client data operation lowered for File.do (DESIGN.md
+// §15). Contiguous, list and datatype I/O differ only in these fields,
+// as the server lowers the three requests to one regionsFn.
+type plan struct {
+	name   string // op span name
+	attr   string // op span attribute set to attrN ("" = none)
+	attrN  int64
+	write  bool
+	nbytes int64 // bytes the operation moves
+	pick   int64 // the replica picker's key for a read
+	groups []int // replica groups (logical servers) addressed
+	enc    encoder
+	w      walker
+	cpu    jobCPU
+}
+
+// do runs one lowered data operation. It alone opens and ends the op
+// span, takes the request tag, fans the requests out to the plan's
+// groups, charges the job-build CPU and records the client's operation
+// accounting. The op span in force before the call is restored after
+// it, so a request the cache issues inside an entry point parents to
+// its own op and nothing later parents to a finished one.
+func (f *File) do(env transport.Env, p plan) error {
+	c := f.c
+	defer func(prev *trace.Span) { c.opSpan = prev }(c.opSpan)
+	o := c.beginOp(env, p.name)
+	if p.attr != "" {
+		o.sp.SetAttr(p.attr, p.attrN)
+	}
+	tag := c.tag()
+	per := c.cost.PerRegionClient // job-build CPU per piece
+	var pieces int64
+	var err error
+	switch {
+	case p.write:
+		var bufs [][]byte
+		if bufs, pieces, err = p.w.pack(); err != nil {
+			return err
+		}
+		if p.cpu == overlapJob {
+			// Real PVFS clients stream accesses as they generate them.
+			d, groups, enc := per*time.Duration(pieces), p.groups, p.enc
+			err = env.Overlap(func() time.Duration { return d }, func() error {
+				return c.writeGroups(env, groups, bufs, tag, enc)
+			})
+			break
+		}
+		if p.cpu == serialJob {
+			env.Compute(per * time.Duration(pieces))
+		}
+		err = c.writeGroups(env, p.groups, bufs, tag, p.enc)
+	case p.cpu == overlapJob:
+		// Real clients scatter each flow buffer as it arrives. Pricing
+		// that needs the piece count before the replies exist, so only
+		// an environment that models CPU time counts the pieces ahead.
+		// The closures capture copies, so p and pieces stay on the stack
+		// on the other paths.
+		q := p
+		var got int64
+		err = env.Overlap(func() time.Duration { return per * time.Duration(q.w.count()) }, func() (err error) {
+			got, err = f.recv(env, &q, tag)
+			return err
+		})
+		pieces = got
+	default:
+		if pieces, err = f.recv(env, &p, tag); err == nil && p.cpu == serialJob {
+			env.Compute(per * time.Duration(pieces))
+		}
+	}
+	if err != nil {
+		return err
+	}
+	if st := c.stats(); st != nil {
+		st.AddOps(1)
+		st.AddAccessed(p.nbytes)
+		if p.cpu != noJob {
+			st.AddRegions(pieces)
+		}
+	}
+	c.endOp(env, o, p.nbytes)
+	return nil
+}
+
+// recv sends a read plan's requests and scatters the replies into
+// memory, reporting the piece count.
+func (f *File) recv(env transport.Env, p *plan, tag wire.ReqTag) (int64, error) {
+	resps, err := f.readGroups(env, p.pick, p.groups, tag, p.enc, p.nbytes)
+	if err != nil {
+		return 0, err
+	}
+	bufs := make([][]byte, f.layout.NServers)
+	for i, g := range p.groups {
+		bufs[g] = resps[i].Data
+	}
+	return p.w.scatter(bufs)
+}
+
+// walker is one access method's piece walker. It visits the access in
+// stream order as pieces, each one server's share of a run, and moves a
+// piece between the caller's memory and a payload. A piece's at is its
+// memory offset, except for a compiled datatype access, where it is a
+// window of the memory stream that mprog gathers and scatters, cut
+// only at strip boundaries. Exactly one access form is set.
+type walker struct {
+	f   *File
+	mem []byte
+	n   int64 // bytes in the access
+	// contig: file range [off, off+n) maps to mem[0:n)
+	off int64
+	// list: paired file and memory regions
+	fileRegs, memRegs []flatten.Region
+	// dtype: compiled (fprog, mprog) or, with nil programs, walked by Dual
+	a            *DtypeAccess
+	fprog, mprog *flatten.Program
+	tiles        int64
+}
+
+// walk calls fn for each piece in stream order, stopping at its first
+// error.
+func (w *walker) walk(fn func(server int, at, n int64) error) error {
+	switch {
+	case w.fprog != nil:
+		return w.f.stripWindows(w.a, w.fprog, w.tiles, w.n, fn)
+	case w.a != nil:
+		file, mem := w.a.dual(w.tiles, w.n)
+		return w.f.walkMapped(file, mem, fn)
+	case w.fileRegs != nil:
+		return w.f.walkMapped(flatten.NewSliceSource(w.fileRegs), flatten.NewSliceSource(w.memRegs), fn)
+	}
+	var err error
+	w.f.layout.Split(w.off, w.n, func(p striping.Piece) bool {
+		err = fn(p.Server, p.Logical-w.off, p.Len)
+		return err == nil
+	})
+	return err
+}
+
+// serverBytes reports how many of the access's bytes each server
+// holds. List I/O's file regions say that without the pairing with
+// memory runs its walk does; the contig and compiled walks follow the
+// file side alone.
+func (w *walker) serverBytes() []int64 {
+	sizes := make([]int64, w.f.layout.NServers)
+	if w.fileRegs == nil {
+		_ = w.walk(func(server int, _, n int64) error {
+			sizes[server] += n
+			return nil
+		})
+		return sizes
+	}
+	for _, r := range w.fileRegs {
+		w.f.layout.Split(r.Off, r.Len, func(p striping.Piece) bool {
+			sizes[p.Server] += p.Len
+			return true
+		})
+	}
+	return sizes
+}
+
+// move copies piece [at, at+n) between memory and flat: into flat when
+// gather, out of it otherwise, and a nil flat only checks and counts.
+// It reports the pieces the client's job building is charged for:
+// the memory runs of a compiled window, otherwise one.
+func (w *walker) move(flat []byte, at, n int64, gather bool) (int64, error) {
+	if w.mprog != nil {
+		if gather {
+			return w.mprog.Gather(flat, w.mem, w.a.MemCount, 0, at, n)
+		}
+		return w.mprog.Scatter(w.mem, flat, w.a.MemCount, 0, at, n)
+	}
+	if at < 0 || at+n > int64(len(w.mem)) {
+		return 0, fmt.Errorf("pvfs: memory region [%d,%d) outside buffer", at, at+n)
+	}
+	if gather {
+		copy(flat, w.mem[at:at+n])
+	} else {
+		copy(w.mem[at:at+n], flat)
+	}
+	return 1, nil
+}
+
+// count is the scatter's piece count without the replies, which prices
+// a read's job building before they exist.
+func (w *walker) count() int64 {
+	var pieces int64
+	// A bad memory run fails the scatter too, which reports it.
+	_ = w.walk(func(_ int, at, n int64) error {
+		got, err := w.move(nil, at, n, false)
+		pieces += got
+		return err
+	})
+	return pieces
+}
+
+// pack builds a write's per-server payloads in stream order — a size
+// pass, one backing allocation, a fill pass — and reports the piece
+// count.
+func (w *walker) pack() ([][]byte, int64, error) {
+	sizes := w.serverBytes()
+	var total int64
+	for _, n := range sizes {
+		total += n
+	}
+	bufs := make([][]byte, w.f.layout.NServers)
+	payload := make([]byte, total)
+	for s, n := range sizes {
+		if n > 0 {
+			bufs[s], payload = payload[:0:n], payload[n:]
+		}
+	}
+	var pieces int64
+	err := w.walk(func(server int, at, n int64) error {
+		b := bufs[server]
+		k := int64(len(b))
+		got, err := w.move(b[k:k+n], at, n, true)
+		bufs[server] = b[:k+n]
+		pieces += got
+		return err
+	})
+	return bufs, pieces, err
+}
+
+// scatter copies a read's per-server replies into memory in stream
+// order, consuming each server's reply through its own cursor, and
+// reports the piece count. A reply the access does not consume exactly
+// — short, or with bytes left over — fails the read.
+func (w *walker) scatter(bufs [][]byte) (int64, error) {
+	var pieces int64
+	err := w.walk(func(server int, at, n int64) error {
+		b := bufs[server]
+		if n > int64(len(b)) {
+			return fmt.Errorf("pvfs: server %d returned short data", server)
+		}
+		got, err := w.move(b[:n], at, n, false)
+		bufs[server] = b[n:]
+		pieces += got
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	for s, b := range bufs {
+		if len(b) > 0 {
+			return 0, fmt.Errorf("pvfs: server %d returned %d bytes more than the access reads", s, len(b))
+		}
+	}
+	return pieces, nil
+}
+
+// contig runs a contiguous access of buf at logical offset off: one
+// logical I/O operation, one request per involved server. An access no
+// larger than a cache chunk is served by the cache; a larger one
+// bypasses it, after flushing overlapping dirty data (reads must see the
+// client's own writes, writes must land in issue order) and, for a
+// write, invalidating the overlap so later cached reads cannot serve
+// pre-write bytes.
+func (f *File) contig(env transport.Env, off int64, buf []byte, write bool) error {
 	n := int64(len(buf))
 	if n == 0 {
 		return nil
 	}
 	if cc := f.cacheFor(); cc != nil {
 		if n <= cc.store.ChunkBytes() {
+			if write {
+				return cc.writeContig(env, f, off, buf)
+			}
 			return cc.readContig(env, f, off, buf)
 		}
-		// Large reads bypass the cache but must still see our own
-		// cached writes: flush overlapping dirty data first.
-		if err := cc.prepRanges(env, f, false, []cache.Region{{Off: off, N: n}}); err != nil {
+		if err := cc.prepRanges(env, f, write, []cache.Region{{Off: off, N: n}}); err != nil {
 			return err
 		}
 	}
-	o := f.c.beginOp(env, "read-contig")
-	defer f.c.clearOp()
-	tag := f.c.tag()
-	servers := f.involvedServers(func(emit func(off, n int64)) { emit(off, n) })
-	resps, err := f.readGroups(env, off, servers, func(g, m int) []byte {
-		return wire.EncodeContig(&wire.ContigReq{Tag: tag, Layout: f.wireLayout(g, m), Off: off, N: n}, false)
-	}, tag.Seq)
-	if err != nil {
-		return err
+	return f.do(env, f.contigPlan(off, buf, write))
+}
+
+// contigPlan lowers a contiguous access of buf at off.
+func (f *File) contigPlan(off int64, buf []byte, write bool) plan {
+	n := int64(len(buf))
+	p := plan{
+		name: "read-contig", write: write, nbytes: n, pick: off,
+		groups: f.involvedServers(off, n),
+		enc: func(tag wire.ReqTag, g, m int, data []byte) []byte {
+			return wire.EncodeContig(&wire.ContigReq{Tag: tag, Layout: f.wireLayout(g, m), Off: off, N: n, Data: data}, write)
+		},
+		w: walker{f: f, mem: buf, n: n, off: off},
 	}
-	for i, s := range servers {
-		data := resps[i].Data
-		cur := int64(0)
-		short := false
-		f.layout.ServerPieces(s, off, n, func(_, logical, ln int64) bool {
-			if cur+ln > int64(len(data)) {
-				short = true
-				return false
-			}
-			copy(buf[logical-off:logical-off+ln], data[cur:cur+ln])
-			cur += ln
-			return true
-		})
-		if short || cur != int64(len(data)) {
-			return fmt.Errorf("pvfs: server %d returned %d bytes, expected a different amount", s, len(data))
-		}
+	if write {
+		p.name = "write-contig"
 	}
-	if st := f.c.stats(); st != nil {
-		st.AddOps(1)
-		st.AddAccessed(n)
-	}
-	f.c.endOp(env, o, n)
-	return nil
+	return p
+}
+
+// ReadContig reads len(buf) bytes at logical offset off: one logical
+// I/O operation, one request per involved server.
+func (f *File) ReadContig(env transport.Env, off int64, buf []byte) error {
+	return f.contig(env, off, buf, false)
 }
 
 // WriteContig writes data at logical offset off.
 func (f *File) WriteContig(env transport.Env, off int64, data []byte) error {
-	n := int64(len(data))
-	if n == 0 {
-		return nil
-	}
-	if cc := f.cacheFor(); cc != nil {
-		if n <= cc.store.ChunkBytes() {
-			return cc.writeContig(env, f, off, data)
-		}
-		// Large writes bypass the cache: flush overlapping dirty data
-		// (issue-order), then invalidate the overlap so later cached
-		// reads cannot serve pre-write bytes.
-		if err := cc.prepRanges(env, f, true, []cache.Region{{Off: off, N: n}}); err != nil {
-			return err
-		}
-	}
-	o := f.c.beginOp(env, "write-contig")
-	defer f.c.clearOp()
-	servers := f.involvedServers(func(emit func(off, n int64)) { emit(off, n) })
-	payloads := make([][]byte, f.layout.NServers)
-	for _, s := range servers {
-		var tot int64
-		f.layout.ServerPieces(s, off, n, func(_, _, ln int64) bool {
-			tot += ln
-			return true
-		})
-		payload := make([]byte, 0, tot)
-		f.layout.ServerPieces(s, off, n, func(_, logical, ln int64) bool {
-			payload = append(payload, data[logical-off:logical-off+ln]...)
-			return true
-		})
-		payloads[s] = payload
-	}
-	tag := f.c.tag()
-	err := f.c.writeGroups(env, servers, payloads, func(g, m int, data []byte) []byte {
-		return wire.EncodeContig(&wire.ContigReq{
-			Tag: tag, Layout: f.wireLayout(g, m), Off: off, N: n, Data: data,
-		}, true)
-	}, tag.Seq)
-	if err != nil {
-		return err
-	}
-	if st := f.c.stats(); st != nil {
-		st.AddOps(1)
-		st.AddAccessed(n)
-	}
-	f.c.endOp(env, o, n)
-	return nil
+	return f.contig(env, off, data, true)
 }
 
 // listTotal validates a list I/O call and returns the byte count.
@@ -1245,25 +1459,20 @@ func (f *File) splitRegions(fileRegions []flatten.Region) [][]flatten.Region {
 
 // walkMapped walks file-stream pieces split by server, pairing them with
 // memory offsets, via the dual cursor. fn is called in stream order.
-func (f *File) walkMapped(file, mem flatten.Source, fn func(server int, memOff, n int64) error) (pieces int64, err error) {
+func (f *File) walkMapped(file, mem flatten.Source, fn func(server int, memOff, n int64) error) error {
 	d := flatten.NewDual(file, mem)
 	for {
 		fo, mo, n, ok := d.Next()
 		if !ok {
-			return pieces, nil
+			return nil
 		}
-		var inner error
+		var err error
 		f.layout.Split(fo, n, func(p striping.Piece) bool {
-			delta := p.Logical - fo
-			if e := fn(p.Server, mo+delta, p.Len); e != nil {
-				inner = e
-				return false
-			}
-			pieces++
-			return true
+			err = fn(p.Server, mo+p.Logical-fo, p.Len)
+			return err == nil
 		})
-		if inner != nil {
-			return pieces, inner
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -1315,83 +1524,18 @@ func splitListBatches(fileRegions, memRegions []flatten.Region) (fb, mb [][]flat
 // the paper discusses is the per-request protocol limit, not a caller
 // burden).
 func (f *File) ReadList(env transport.Env, fileRegions, memRegions []flatten.Region, mem []byte) error {
-	total, err := listTotal(fileRegions, memRegions, mem)
-	if err != nil {
-		return err
-	}
-	if total == 0 {
-		return nil
-	}
-	if cc := f.cacheFor(); cc != nil {
-		regions := make([]cache.Region, len(fileRegions))
-		for i, r := range fileRegions {
-			regions[i] = cache.Region{Off: r.Off, N: r.Len}
-		}
-		if err := cc.prepRanges(env, f, false, regions); err != nil {
-			return err
-		}
-	}
-	if len(fileRegions) > wire.MaxListRegions || len(memRegions) > wire.MaxListRegions {
-		fb, mb := splitListBatches(fileRegions, memRegions)
-		for i := range fb {
-			if err := f.ReadList(env, fb[i], mb[i], mem); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	o := f.c.beginOp(env, "read-list")
-	defer f.c.clearOp()
-	o.sp.SetAttr("regions", int64(len(fileRegions)))
-	tag := f.c.tag()
-	perServer := f.splitRegions(fileRegions)
-	var servers []int
-	for s, regs := range perServer {
-		if regs == nil {
-			continue
-		}
-		servers = append(servers, s)
-	}
-	resps, err := f.readGroups(env, fileRegions[0].Off, servers, func(g, m int) []byte {
-		return wire.EncodeListIO(&wire.ListIOReq{Tag: tag, Layout: f.wireLayout(g, m), Regions: perServer[g]}, false)
-	}, tag.Seq)
-	if err != nil {
-		return err
-	}
-	cursors := make([]int64, f.layout.NServers)
-	bufs := make([][]byte, f.layout.NServers)
-	for i, s := range servers {
-		bufs[s] = resps[i].Data
-	}
-	pieces, err := f.walkMapped(
-		flatten.NewSliceSource(fileRegions),
-		flatten.NewSliceSource(memRegions),
-		func(server int, memOff, n int64) error {
-			b := bufs[server]
-			cur := cursors[server]
-			if cur+n > int64(len(b)) {
-				return fmt.Errorf("pvfs: server %d returned short data", server)
-			}
-			copy(mem[memOff:memOff+n], b[cur:cur+n])
-			cursors[server] = cur + n
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	env.Compute(f.c.cost.PerRegionClient * time.Duration(pieces))
-	if st := f.c.stats(); st != nil {
-		st.AddOps(1)
-		st.AddAccessed(total)
-		st.AddRegions(pieces)
-	}
-	f.c.endOp(env, o, total)
-	return nil
+	return f.listIO(env, fileRegions, memRegions, mem, false)
 }
 
 // WriteList performs a list I/O write. Like ReadList, oversized calls
 // are split into protocol-sized batches, each written in stream order.
 func (f *File) WriteList(env transport.Env, fileRegions, memRegions []flatten.Region, mem []byte) error {
+	return f.listIO(env, fileRegions, memRegions, mem, true)
+}
+
+// listIO validates a list I/O call and keeps it coherent with the
+// client's cache before running it.
+func (f *File) listIO(env transport.Env, fileRegions, memRegions []flatten.Region, mem []byte, write bool) error {
 	total, err := listTotal(fileRegions, memRegions, mem)
 	if err != nil {
 		return err
@@ -1404,58 +1548,55 @@ func (f *File) WriteList(env transport.Env, fileRegions, memRegions []flatten.Re
 		for i, r := range fileRegions {
 			regions[i] = cache.Region{Off: r.Off, N: r.Len}
 		}
-		if err := cc.prepRanges(env, f, true, regions); err != nil {
+		if err := cc.prepRanges(env, f, write, regions); err != nil {
 			return err
 		}
 	}
-	if len(fileRegions) > wire.MaxListRegions || len(memRegions) > wire.MaxListRegions {
-		fb, mb := splitListBatches(fileRegions, memRegions)
-		for i := range fb {
-			if err := f.WriteList(env, fb[i], mb[i], mem); err != nil {
-				return err
-			}
+	return f.list(env, fileRegions, memRegions, mem, write)
+}
+
+// list runs valid list I/O uncached, one operation per protocol-sized
+// batch.
+func (f *File) list(env transport.Env, fileRegions, memRegions []flatten.Region, mem []byte, write bool) error {
+	if len(fileRegions) <= wire.MaxListRegions && len(memRegions) <= wire.MaxListRegions {
+		return f.do(env, f.listPlan(fileRegions, memRegions, mem, write))
+	}
+	fb, mb := splitListBatches(fileRegions, memRegions)
+	for i := range fb {
+		if err := f.do(env, f.listPlan(fb[i], mb[i], mem, write)); err != nil {
+			return err
 		}
-		return nil
 	}
-	o := f.c.beginOp(env, "write-list")
-	defer f.c.clearOp()
-	o.sp.SetAttr("regions", int64(len(fileRegions)))
-	bufs := make([][]byte, f.layout.NServers)
-	pieces, err := f.walkMapped(
-		flatten.NewSliceSource(fileRegions),
-		flatten.NewSliceSource(memRegions),
-		func(server int, memOff, n int64) error {
-			bufs[server] = append(bufs[server], mem[memOff:memOff+n]...)
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	env.Compute(f.c.cost.PerRegionClient * time.Duration(pieces))
-	perServer := f.splitRegions(fileRegions)
-	var servers []int
-	for s := 0; s < f.layout.NServers; s++ {
-		if bufs[s] == nil {
-			continue
-		}
-		servers = append(servers, s)
-	}
-	tag := f.c.tag()
-	err = f.c.writeGroups(env, servers, bufs, func(g, m int, data []byte) []byte {
-		return wire.EncodeListIO(&wire.ListIOReq{
-			Tag: tag, Layout: f.wireLayout(g, m), Regions: perServer[g], Data: data,
-		}, true)
-	}, tag.Seq)
-	if err != nil {
-		return err
-	}
-	if st := f.c.stats(); st != nil {
-		st.AddOps(1)
-		st.AddAccessed(total)
-		st.AddRegions(pieces)
-	}
-	f.c.endOp(env, o, total)
 	return nil
+}
+
+// listPlan lowers one batch of list I/O: each server's request carries
+// only its own regions.
+func (f *File) listPlan(fileRegions, memRegions []flatten.Region, mem []byte, write bool) plan {
+	var total int64
+	for _, r := range fileRegions {
+		total += r.Len
+	}
+	perServer := f.splitRegions(fileRegions)
+	var groups []int
+	for s, regs := range perServer {
+		if regs != nil {
+			groups = append(groups, s)
+		}
+	}
+	p := plan{
+		name: "read-list", attr: "regions", attrN: int64(len(fileRegions)),
+		write: write, nbytes: total, pick: fileRegions[0].Off, groups: groups,
+		enc: func(tag wire.ReqTag, g, m int, data []byte) []byte {
+			return wire.EncodeListIO(&wire.ListIOReq{Tag: tag, Layout: f.wireLayout(g, m), Regions: perServer[g], Data: data}, write)
+		},
+		w:   walker{f: f, mem: mem, n: total, fileRegs: fileRegions, memRegs: memRegions},
+		cpu: serialJob,
+	}
+	if write {
+		p.name = "write-list"
+	}
+	return p
 }
 
 // DtypeAccess describes a datatype I/O operation: memory described by a
@@ -1538,89 +1679,6 @@ func (f *File) stripWindows(a *DtypeAccess, fprog *flatten.Program, tiles, nbyte
 	})
 }
 
-// packDtype gathers a.Mem into one payload per server, in stream order,
-// and reports the piece count: file regions cut at memory-region and
-// strip boundaries, the unit the client's job building is charged by.
-// With programs it sizes every payload first and fills it with one
-// Gather per strip piece; with nils it walks Dual.
-func (f *File) packDtype(a *DtypeAccess, fprog, mprog *flatten.Program, tiles, nbytes int64) ([][]byte, int64, error) {
-	bufs := make([][]byte, f.layout.NServers)
-	if fprog == nil {
-		file, mem := a.dual(tiles, nbytes)
-		pieces, err := f.walkMapped(file, mem, func(server int, memOff, n int64) error {
-			if memOff < 0 || memOff+n > int64(len(a.Mem)) {
-				return fmt.Errorf("pvfs: memory region [%d,%d) outside buffer", memOff, memOff+n)
-			}
-			bufs[server] = append(bufs[server], a.Mem[memOff:memOff+n]...)
-			return nil
-		})
-		return bufs, pieces, err
-	}
-	sizes := make([]int64, f.layout.NServers)
-	if err := f.stripWindows(a, fprog, tiles, nbytes, func(server int, _, n int64) error {
-		sizes[server] += n
-		return nil
-	}); err != nil {
-		return nil, 0, err
-	}
-	payload := make([]byte, nbytes)
-	for s, n := range sizes {
-		if n > 0 {
-			bufs[s], payload = payload[:0:n], payload[n:]
-		}
-	}
-	var pieces int64
-	err := f.stripWindows(a, fprog, tiles, nbytes, func(server int, pos, n int64) error {
-		b := bufs[server]
-		k := int64(len(b))
-		got, err := mprog.Gather(b[k:k+n], a.Mem, a.MemCount, 0, pos, n)
-		bufs[server] = b[:k+n]
-		pieces += got
-		return err
-	})
-	return bufs, pieces, err
-}
-
-// unpackDtype scatters the per-server reply payloads into a.Mem in
-// stream order, consuming bufs, and reports the same piece count as
-// packDtype. With nil bufs it only counts the pieces (checking memory
-// bounds), which prices the scatter before the replies exist.
-func (f *File) unpackDtype(a *DtypeAccess, fprog, mprog *flatten.Program, tiles, nbytes int64, bufs [][]byte) (int64, error) {
-	take := func(server int, n int64) ([]byte, error) {
-		if bufs == nil {
-			return nil, nil
-		}
-		b := bufs[server]
-		if n > int64(len(b)) {
-			return nil, fmt.Errorf("pvfs: server %d returned short data", server)
-		}
-		bufs[server] = b[n:]
-		return b[:n], nil
-	}
-	if fprog == nil {
-		file, mem := a.dual(tiles, nbytes)
-		return f.walkMapped(file, mem, func(server int, memOff, n int64) error {
-			if memOff < 0 || memOff+n > int64(len(a.Mem)) {
-				return fmt.Errorf("pvfs: memory region [%d,%d) outside buffer", memOff, memOff+n)
-			}
-			src, err := take(server, n)
-			copy(a.Mem[memOff:memOff+n], src)
-			return err
-		})
-	}
-	var pieces int64
-	err := f.stripWindows(a, fprog, tiles, nbytes, func(server int, pos, n int64) error {
-		src, err := take(server, n)
-		if err != nil {
-			return err
-		}
-		got, err := mprog.Scatter(a.Mem, src, a.MemCount, 0, pos, n)
-		pieces += got
-		return err
-	})
-	return pieces, err
-}
-
 // ReadDtype performs a datatype read: one logical operation; the file
 // dataloop ships to every server of the file, each of which expands it
 // locally.
@@ -1649,77 +1707,37 @@ func (f *File) dtypeOp(env transport.Env, a *DtypeAccess, write bool) error {
 			return err
 		}
 	}
-	name := "read-dtype"
-	if write {
-		name = "write-dtype"
-	}
-	o := f.c.beginOp(env, name)
-	defer f.c.clearOp()
-	o.sp.SetAttr("tiles", tiles)
+	return f.do(env, f.dtypePlan(a, nbytes, tiles, write))
+}
+
+// dtypePlan lowers a datatype access: every server of the file gets the
+// file dataloop and expands it locally.
+func (f *File) dtypePlan(a *DtypeAccess, nbytes, tiles int64, write bool) plan {
 	loopBytes := a.FileLoop.Encode(nil)
-	tag := f.c.tag()
-	mkReq := func(g, m int, data []byte) []byte {
-		return wire.EncodeDtype(&wire.DtypeReq{
-			Tag:        tag,
-			Layout:     f.wireLayout(g, m),
-			Loop:       loopBytes,
-			Count:      tiles,
-			Disp:       a.Disp,
-			Pos:        a.Pos,
-			NBytes:     nbytes,
-			NoCoalesce: a.NoCoalesce,
-			Data:       data,
-		}, write)
-	}
-	servers := f.allGroups()
 	fprog, mprog := a.programs()
-	var pieces int64
+	p := plan{
+		name: "read-dtype", attr: "tiles", attrN: tiles,
+		write: write, nbytes: nbytes, pick: a.Disp + a.Pos, groups: f.allGroups(),
+		enc: func(tag wire.ReqTag, g, m int, data []byte) []byte {
+			return wire.EncodeDtype(&wire.DtypeReq{
+				Tag:        tag,
+				Layout:     f.wireLayout(g, m),
+				Loop:       loopBytes,
+				Count:      tiles,
+				Disp:       a.Disp,
+				Pos:        a.Pos,
+				NBytes:     nbytes,
+				NoCoalesce: a.NoCoalesce,
+				Data:       data,
+			}, write)
+		},
+		w:   walker{f: f, mem: a.Mem, n: nbytes, a: a, fprog: fprog, mprog: mprog, tiles: tiles},
+		cpu: overlapJob,
+	}
 	if write {
-		var bufs [][]byte
-		bufs, pieces, err = f.packDtype(a, fprog, mprog, tiles, nbytes)
-		if err != nil {
-			return err
-		}
-		// The job/access building overlaps the transfer: real PVFS
-		// clients stream accesses as they are generated.
-		cpu := f.c.cost.PerRegionClient * time.Duration(pieces)
-		err = env.Overlap(func() time.Duration { return cpu }, func() error {
-			return f.c.writeGroups(env, servers, bufs, mkReq, tag.Seq)
-		})
-	} else {
-		// The scatter's job-build CPU overlaps the transfer too: real
-		// clients scatter each flow buffer as it arrives. Pricing it needs
-		// the piece count before the replies exist, so only an environment
-		// that models CPU time counts the pieces ahead.
-		err = env.Overlap(func() time.Duration {
-			// A bad memory run fails the scatter too, which reports it.
-			n, _ := f.unpackDtype(a, fprog, mprog, tiles, nbytes, nil)
-			return f.c.cost.PerRegionClient * time.Duration(n)
-		}, func() error {
-			resps, err := f.readGroups(env, a.Disp+a.Pos, servers, func(g, m int) []byte {
-				return mkReq(g, m, nil)
-			}, tag.Seq)
-			if err != nil {
-				return err
-			}
-			bufs := make([][]byte, f.layout.NServers)
-			for i, s := range servers {
-				bufs[s] = resps[i].Data
-			}
-			pieces, err = f.unpackDtype(a, fprog, mprog, tiles, nbytes, bufs)
-			return err
-		})
+		p.name = "write-dtype"
 	}
-	if err != nil {
-		return err
-	}
-	if st := f.c.stats(); st != nil {
-		st.AddOps(1)
-		st.AddAccessed(nbytes)
-		st.AddRegions(pieces)
-	}
-	f.c.endOp(env, o, nbytes)
-	return nil
+	return p
 }
 
 // Size reports the logical file size (max over servers' local EOFs).
@@ -1730,11 +1748,10 @@ func (f *File) Size(env transport.Env) (int64, error) {
 			return 0, err
 		}
 	}
-	tag := f.c.tag()
 	servers := f.allGroups()
-	resps, err := f.readGroups(env, 0, servers, func(g, m int) []byte {
+	resps, err := f.readGroups(env, 0, servers, f.c.tag(), func(tag wire.ReqTag, g, m int, _ []byte) []byte {
 		return wire.EncodeLocalSize(&wire.LocalSizeReq{Tag: tag, Layout: f.wireLayout(g, m)})
-	}, tag.Seq)
+	}, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -1756,13 +1773,12 @@ func (f *File) Truncate(env transport.Env, size int64) error {
 			return err
 		}
 	}
-	tag := f.c.tag()
 	// Truncation mutates every replica member, so it rides the write
 	// fan-out path (with no payload to carry).
-	return f.c.writeGroups(env, f.allGroups(), make([][]byte, f.layout.NServers),
-		func(g, m int, _ []byte) []byte {
+	return f.c.writeGroups(env, f.allGroups(), make([][]byte, f.layout.NServers), f.c.tag(),
+		func(tag wire.ReqTag, g, m int, _ []byte) []byte {
 			return wire.EncodeTruncate(&wire.TruncateReq{Tag: tag, Layout: f.wireLayout(g, m), Size: size})
-		}, tag.Seq)
+		})
 }
 
 // Admin sends a fault-administration request to I/O server s: stall,

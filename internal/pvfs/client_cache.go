@@ -31,9 +31,6 @@ type clientCache struct {
 	store  *cache.Store
 	byLock map[uint64]*cache.Chunk // granted lease id -> covered chunk
 	files  map[uint64]*File        // handle -> a File to flush through
-	// busy marks an internal fill or flush in flight, so the plain
-	// read/write path it uses does not re-enter the cache.
-	busy bool
 }
 
 func (c *Client) cacheEnabled() bool { return c.CacheBytes > 0 }
@@ -51,17 +48,12 @@ func (c *Client) cacheState() *clientCache {
 }
 
 // cacheFor returns the client's cache when this file operation should
-// consult it: caching enabled, the file not opted out, and no internal
-// fill/flush already driving the plain path.
+// consult it: caching enabled and the file not opted out.
 func (f *File) cacheFor() *clientCache {
 	if !f.c.cacheEnabled() || f.NoCache {
 		return nil
 	}
-	cc := f.c.cacheState()
-	if cc.busy {
-		return nil
-	}
-	return cc
+	return f.c.cacheState()
 }
 
 // maintain is the op-boundary safe point: service revocations the meta
@@ -323,27 +315,22 @@ func (cc *clientCache) writeContig(env transport.Env, f *File, off int64, data [
 	return cc.evict(env)
 }
 
-// fillChunk reads the chunk's whole extent through the plain path (the
-// store zero-fills past EOF, so over-reading the tail is safe) and
-// installs it around any dirty bytes already present.
+// fillChunk reads the chunk's whole extent as one uncached contiguous
+// read (the store zero-fills past EOF, so over-reading the tail is safe)
+// and installs it around any dirty bytes already present.
 func (cc *clientCache) fillChunk(env transport.Env, f *File, ch *cache.Chunk) error {
 	data := make([]byte, cc.store.ChunkBytes())
-	cc.busy = true
-	save := cc.c.opSpan
-	err := f.ReadContig(env, ch.Off, data)
-	cc.c.opSpan = save
-	cc.busy = false
-	if err != nil {
+	if err := f.do(env, f.contigPlan(ch.Off, data, false)); err != nil {
 		return err
 	}
 	ch.Fill(data)
 	return nil
 }
 
-// flushChunks writes the chunks' dirty ranges back as one list-I/O
-// call: the runs are gathered in ascending file order into a single
-// request stream, which the streaming write path and the server disk
-// scheduler then handle as a few large sorted runs.
+// flushChunks writes the chunks' dirty ranges back as one uncached
+// list-I/O call: the runs are gathered in ascending file order into a
+// single request stream, which the streaming write path and the server
+// disk scheduler then handle as a few large sorted runs.
 func (cc *clientCache) flushChunks(env transport.Env, f *File, chunks []*cache.Chunk) error {
 	sorted := make([]*cache.Chunk, 0, len(chunks))
 	for _, ch := range chunks {
@@ -368,11 +355,7 @@ func (cc *clientCache) flushChunks(env transport.Env, f *File, chunks []*cache.C
 	sp := cc.c.Tracer.Begin(env, cc.c.track(), "cache:flush", cc.c.opSpan.SID())
 	sp.SetAttr("bytes", int64(len(mem)))
 	sp.SetAttr("runs", int64(len(fileRegions)))
-	cc.busy = true
-	save := cc.c.opSpan
-	err := f.WriteList(env, fileRegions, memRegions, mem)
-	cc.c.opSpan = save
-	cc.busy = false
+	err := f.list(env, fileRegions, memRegions, mem, true)
 	sp.End(env)
 	if err != nil {
 		return err

@@ -14,7 +14,7 @@ import (
 )
 
 // packFile is a File with only a layout: enough for the client's pack
-// and unpack, which never touch the network.
+// and scatter, which never touch the network.
 func packFile(nServers int, strip int64) *File {
 	return &File{layout: striping.Layout{StripSize: strip, NServers: nServers}}
 }
@@ -27,8 +27,8 @@ func patternedMem(n int64) []byte {
 	return b
 }
 
-// TestDtypePackCompiledMatchesDual holds the compiled pack and unpack to
-// the interpreted Dual walk: identical per-server payloads, identical
+// TestDtypePackCompiledMatchesDual holds the compiled pack and scatter
+// to the interpreted Dual walk: identical per-server payloads, identical
 // scattered memory, and identical piece counts — the count prices the
 // client's job building in virtual time. The strips are small enough
 // that their boundaries cut memory runs mid-run.
@@ -62,15 +62,17 @@ func TestDtypePackCompiledMatchesDual(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					fprog, mprog := a.programs()
-					if fprog == nil {
+					comp := f.dtypePlan(a, nbytes, tiles, true).w
+					if comp.fprog == nil {
 						t.Fatal("a loop declined to compile")
 					}
-					want, wantPieces, err := f.packDtype(a, nil, nil, tiles, nbytes)
+					dual := comp
+					dual.fprog, dual.mprog = nil, nil
+					want, wantPieces, err := dual.pack()
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, pieces, err := f.packDtype(a, fprog, mprog, tiles, nbytes)
+					got, pieces, err := comp.pack()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -83,28 +85,26 @@ func TestDtypePackCompiledMatchesDual(t *testing.T) {
 						}
 					}
 
-					unpack := func(fp, mp *flatten.Program) ([]byte, int64) {
+					scatter := func(w walker) ([]byte, int64) {
 						t.Helper()
-						b := &DtypeAccess{}
-						*b = *a
-						b.Mem = make([]byte, len(a.Mem))
+						w.mem = make([]byte, len(a.Mem))
 						bufs := append([][]byte(nil), want...)
-						n, err := f.unpackDtype(b, fp, mp, tiles, nbytes, bufs)
+						n, err := w.scatter(bufs)
 						if err != nil {
 							t.Fatal(err)
 						}
-						return b.Mem, n
+						return w.mem, n
 					}
-					wantMem, wantN := unpack(nil, nil)
-					gotMem, gotN := unpack(fprog, mprog)
+					wantMem, wantN := scatter(dual)
+					gotMem, gotN := scatter(comp)
 					if gotN != wantPieces || wantN != wantPieces {
-						t.Fatalf("unpack pieces: compiled %d, Dual %d, pack %d", gotN, wantN, wantPieces)
+						t.Fatalf("scatter pieces: compiled %d, Dual %d, pack %d", gotN, wantN, wantPieces)
 					}
 					if !bytes.Equal(gotMem, wantMem) {
-						t.Fatal("compiled unpack scattered different bytes than Dual")
+						t.Fatal("compiled scatter wrote different bytes than Dual")
 					}
-					if n, err := f.unpackDtype(a, fprog, mprog, tiles, nbytes, nil); err != nil || n != wantPieces {
-						t.Fatalf("counting unpack = %d, %v; want %d", n, err, wantPieces)
+					if n := comp.count(); n != wantPieces {
+						t.Fatalf("counting pass = %d; want %d", n, wantPieces)
 					}
 				})
 			}
@@ -160,8 +160,8 @@ func TestDtypeMemOutsideBuffer(t *testing.T) {
 // flashPack is the flash_write client pack: one rank's checkpoint (the
 // paper's E3 shape, 32768 eight-byte memory runs), striped over two
 // servers in 64 KiB strips, with both programs compiled ahead as mpiio
-// keeps them.
-func flashPack() (*File, *DtypeAccess, int64, int64) {
+// keeps them. It returns the write's piece walker.
+func flashPack() *walker {
 	cfg := workloads.FlashConfig{Blocks: 8, NB: 8, Guard: 2, Vars: 8, ElemSize: 8, Procs: 8}
 	mem := make([]byte, cfg.MemBytes())
 	cfg.FillMemory(0, mem)
@@ -176,7 +176,8 @@ func flashPack() (*File, *DtypeAccess, int64, int64) {
 	if err != nil {
 		panic(err)
 	}
-	return packFile(2, 64<<10), a, nbytes, tiles
+	w := packFile(2, 64<<10).dtypePlan(a, nbytes, tiles, true).w
+	return &w
 }
 
 // TestDtypeClientPackAllocs bounds the steady-state pack: one buffer
@@ -184,22 +185,21 @@ func flashPack() (*File, *DtypeAccess, int64, int64) {
 // one allocation per piece (the Dual walk appended 32768 pieces into
 // growing buffers).
 func TestDtypeClientPackAllocs(t *testing.T) {
-	f, a, nbytes, tiles := flashPack()
-	fprog, mprog := a.programs()
-	if fprog == nil {
+	w := flashPack()
+	if w.fprog == nil {
 		t.Fatal("flash pack declined to compile")
 	}
 	var pieces int64
 	allocs := testing.AllocsPerRun(20, func() {
 		var err error
-		if _, pieces, err = f.packDtype(a, fprog, mprog, tiles, nbytes); err != nil {
+		if _, pieces, err = w.pack(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if pieces != 32768 {
 		t.Fatalf("flash pack counted %d pieces, want 32768", pieces)
 	}
-	if limit := float64(f.layout.NServers + 2); allocs > limit {
+	if limit := float64(w.f.layout.NServers + 2); allocs > limit {
 		t.Fatalf("flash pack allocates %.0f per op, want <= %.0f", allocs, limit)
 	}
 }

@@ -164,9 +164,12 @@ func TestServerGoneMidRun(t *testing.T) {
 	}
 }
 
-// TestResponseValidation: clients reject short server data.
-func TestClientRejectsShortData(t *testing.T) {
-	// A server handler that answers OK with truncated data.
+// fakeIOFile creates a file striped over one I/O server that is a fake:
+// it answers each request with the frame answer builds from the decoded
+// request and its tag's sequence, so a test can hand the client replies
+// no real server would send.
+func fakeIOFile(t *testing.T, answer func(req any, seq uint64) []byte) (transport.Env, *File) {
+	t.Helper()
 	net := transport.NewMemNetwork()
 	env := transport.NewRealEnv()
 	lis, err := net.Listen("evil")
@@ -174,50 +177,113 @@ func TestClientRejectsShortData(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		conn, err := lis.Accept(env)
-		if err != nil {
-			return
-		}
 		for {
-			raw, err := conn.Recv(env)
+			conn, err := lis.Accept(env)
 			if err != nil {
 				return
 			}
-			// Always respond OK with 1 byte, whatever was asked —
-			// echoing the tag so the client accepts the frame.
-			var seq uint64
-			if _, v, err := wire.DecodeMsg(raw); err == nil {
-				if r, ok := v.(*wire.ContigReq); ok {
-					seq = r.Tag.Seq
+			go func() {
+				for {
+					raw, err := conn.Recv(env)
+					if err != nil {
+						return
+					}
+					_, v, err := wire.DecodeMsg(raw)
+					if err != nil {
+						return
+					}
+					conn.Send(env, answer(v, tagOf(v).Seq))
 				}
-			}
-			conn.Send(env, encodeEvilResp(seq))
+			}()
 		}
 	}()
 	meta := NewMetaServer(net, "meta", 1)
 	go meta.Serve(env)
-	defer meta.Close()
 	c := NewClient(net, "meta", []string{"evil"}, CostModel{})
-	defer c.Close()
+	t.Cleanup(func() {
+		c.Close()
+		meta.Close()
+		lis.Close()
+	})
 	var f *File
 	for i := 0; i < 1000; i++ {
 		f, err = c.Create(env, "x", 64, 0)
 		if err == nil {
-			break
+			return env, f
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Fatal(err)
+	return nil, nil
+}
+
+// TestClientRejectsShortData: clients reject short server data.
+func TestClientRejectsShortData(t *testing.T) {
+	// Always respond OK with 1 byte, whatever was asked.
+	env, f := fakeIOFile(t, func(_ any, seq uint64) []byte {
+		return wire.EncodeIOResp(&wire.IOResp{Seq: seq, OK: true, Data: []byte{0}})
+	})
 	buf := make([]byte, 100)
 	if err := f.ReadContig(env, 0, buf); err == nil {
 		t.Fatal("short response accepted")
 	}
 }
 
-func encodeEvilResp(seq uint64) []byte {
-	return wire.EncodeIOResp(&wire.IOResp{Seq: seq, OK: true, Data: []byte{0}})
+// TestClientRejectsOverlongReply: a read fails when a server's reply
+// holds more bytes than the access consumes, on every access path, and
+// a stream header announcing more than the operation reads fails the
+// attempt before the client allocates for it.
+func TestClientRejectsOverlongReply(t *testing.T) {
+	// wantBytes is what the access asks of the one server.
+	wantBytes := func(v any) int64 {
+		switch r := v.(type) {
+		case *wire.ContigReq:
+			return r.N
+		case *wire.ListIOReq:
+			var n int64
+			for _, reg := range r.Regions {
+				n += reg.Len
+			}
+			return n
+		case *wire.DtypeReq:
+			return r.NBytes
+		}
+		return 0
+	}
+	mem := make([]byte, 48)
+	reads := []struct {
+		name string
+		read func(env transport.Env, f *File) error
+	}{
+		{"contig", func(env transport.Env, f *File) error { return f.ReadContig(env, 8, mem) }},
+		{"list", func(env transport.Env, f *File) error {
+			return f.ReadList(env, []Region{{Off: 0, Len: 16}, {Off: 40, Len: 32}}, []Region{{Off: 0, Len: 48}}, mem)
+		}},
+		{"dtype", func(env transport.Env, f *File) error {
+			return f.ReadDtype(env, &DtypeAccess{
+				Mem: mem, MemLoop: dataloop.FromType(datatype.Bytes(48)), MemCount: 1,
+				FileLoop: dataloop.FromType(datatype.Vector(6, 1, 2, datatype.Int64)),
+			})
+		}},
+	}
+	for _, rd := range reads {
+		t.Run("trailing-byte/"+rd.name, func(t *testing.T) {
+			env, f := fakeIOFile(t, func(v any, seq uint64) []byte {
+				return wire.EncodeIOResp(&wire.IOResp{Seq: seq, OK: true, Data: make([]byte, wantBytes(v)+1)})
+			})
+			if err := rd.read(env, f); err == nil {
+				t.Fatal("reply one byte longer than the access was accepted")
+			}
+		})
+		t.Run("huge-stream/"+rd.name, func(t *testing.T) {
+			env, f := fakeIOFile(t, func(_ any, seq uint64) []byte {
+				return wire.EncodeReadStreamHdr(&wire.ReadStreamHdr{Seq: seq, Total: 1 << 62, SegBytes: 4096, Window: 4})
+			})
+			if err := rd.read(env, f); err == nil {
+				t.Fatal("stream header announcing 1<<62 bytes was accepted")
+			}
+		})
+	}
 }
 
 func TestDataloopCache(t *testing.T) {

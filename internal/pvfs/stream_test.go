@@ -435,13 +435,12 @@ func BenchmarkDtypeServerWritePath(b *testing.B) {
 // flash_write operation's payloads from compiled programs (run with
 // -benchmem to see the per-operation allocation count).
 func BenchmarkDtypeClientPack(b *testing.B) {
-	f, a, nbytes, tiles := flashPack()
-	fprog, mprog := a.programs()
-	b.SetBytes(nbytes)
+	w := flashPack()
+	b.SetBytes(w.n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.packDtype(a, fprog, mprog, tiles, nbytes); err != nil {
+		if _, _, err := w.pack(); err != nil {
 			b.Fatal(err)
 		}
 	}
