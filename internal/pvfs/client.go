@@ -815,10 +815,14 @@ func (c *Client) recvStream(env transport.Env, conn transport.Conn, h *wire.Read
 	data := make([]byte, total)
 	ab := getBuf(16)
 	defer putBuf(ab)
+	// Chunk frames are received into one pooled buffer: each segment is
+	// copied out before the next receive reuses it.
+	fb := getBuf(chunkFrameBytes(min(seg, total)))
+	defer putBuf(fb)
 	var chunk wire.StreamChunk
 	for k := int64(0); k < nseg; k++ {
 		for {
-			raw, err := transport.RecvTimeout(env, conn, timeout)
+			raw, err := transport.RecvInto(env, conn, *fb, timeout)
 			if err != nil {
 				return nil, err
 			}
@@ -1041,7 +1045,7 @@ func (c *Client) tryWriteStream(env transport.Env, s int, payload, inner []byte,
 	if st := c.stats(); st != nil {
 		st.AddWire(int64(len(hdr))) // the description; segments are payload
 	}
-	fp := getBuf(13 + int(seg))
+	fp := getBuf(chunkFrameBytes(seg))
 	ackedThrough := start - 1
 	for k := start; k < nseg; k++ {
 		if k >= start+window && ackedThrough < k-window {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1313,6 +1314,9 @@ func (s *Server) streamedWrite(env transport.Env, conn transport.Conn, h *wire.W
 			gate: s.stallGate,
 		},
 	}
+	// Every path below has dispatched or dropped the payload runs by the
+	// time it returns.
+	defer src.stream.release()
 	t, v, err := wire.DecodeMsg(h.Inner)
 	if err != nil {
 		resp, err := s.reqFail(env, src, 0, "bad request: %v", err)
@@ -1495,6 +1499,13 @@ func (s *Server) readReply(env transport.Env, conn transport.Conn, lay striping.
 	return nil, s.streamRead(env, conn, st, sd, total, seg, window, seq, sp)
 }
 
+// rangeOK reports whether [off, off+n) is a valid byte range: both
+// ends non-negative and off+n representable. Request numbers are the
+// peer's, so a range that wraps must be refused here, not by storage.
+func rangeOK(off, n int64) bool {
+	return off >= 0 && n >= 0 && off <= math.MaxInt64-n
+}
+
 // contig serves a contiguous read (src nil) or write.
 func (s *Server) contig(env transport.Env, conn transport.Conn, r *wire.ContigReq, src *writeSrc, sp *trace.Span) ([]byte, error) {
 	seq := r.Tag.Seq
@@ -1502,7 +1513,7 @@ func (s *Server) contig(env transport.Env, conn transport.Conn, r *wire.ContigRe
 	if err != nil {
 		return s.reqFail(env, src, seq, "%v", err)
 	}
-	if r.Off < 0 || r.N < 0 {
+	if !rangeOK(r.Off, r.N) {
 		return s.reqFail(env, src, seq, "bad range off=%d n=%d", r.Off, r.N)
 	}
 	idx := int(r.Layout.ServerIdx)
@@ -1527,7 +1538,7 @@ func (s *Server) list(env transport.Env, conn transport.Conn, r *wire.ListIOReq,
 	st := s.object(r.Layout.Handle)
 	regions := func(emit func(off, n int64) error) error {
 		for _, reg := range r.Regions {
-			if reg.Off < 0 || reg.Len < 0 {
+			if !rangeOK(reg.Off, reg.Len) {
 				return fmt.Errorf("bad region %+v", reg)
 			}
 			if err := emit(reg.Off, reg.Len); err != nil {
@@ -1646,7 +1657,8 @@ func (s *Server) dtype(env transport.Env, conn transport.Conn, r *wire.DtypeReq,
 	if err != nil {
 		return s.reqFail(env, src, seq, "bad dataloop: %v", err)
 	}
-	if r.Count < 0 || r.Pos < 0 || r.NBytes < 0 || r.Pos+r.NBytes > r.Count*loop.Size {
+	if !rangeOK(r.Pos, r.NBytes) || r.Count < 0 ||
+		(loop.Size > 0 && r.Count > math.MaxInt64/loop.Size) || r.Pos+r.NBytes > r.Count*loop.Size {
 		return s.reqFail(env, src, seq, "bad dtype range count=%d pos=%d n=%d", r.Count, r.Pos, r.NBytes)
 	}
 	if !hit {

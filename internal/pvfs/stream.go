@@ -45,6 +45,10 @@ func segLen(total, seg, k int64) int64 {
 	return seg
 }
 
+// chunkFrameBytes is the frame size of a chunk carrying seg data bytes:
+// 13 bytes of type, sequence, empty error string and data length first.
+func chunkFrameBytes(seg int64) int { return 13 + int(seg) }
+
 // bufPool recycles the scratch buffers that stage stream segments and
 // frames, so steady-state streaming does not allocate per segment.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -102,6 +106,19 @@ type srvStream struct {
 	fatal  error                   // connection-level failure; the conn must close
 	ack    []byte
 	chunk  wire.StreamChunk
+	// frame receives each chunk frame in turn, so chunk.Data aliases it
+	// and is valid only until the next receive. Pooled; release returns
+	// it once the request is done with the payload.
+	frame *[]byte
+}
+
+// release returns the stream's receive buffer to the pool. The caller
+// must hold no chunk data any more.
+func (ss *srvStream) release() {
+	if ss.frame != nil {
+		putBuf(ss.frame)
+		ss.frame = nil
+	}
 }
 
 // nextChunk receives segment s.next and acks it per the credit rule.
@@ -115,8 +132,13 @@ func (ss *srvStream) nextChunk(env transport.Env, discard bool) ([]byte, error) 
 		ss.gate(env)
 	}
 	k := ss.next
+	if ss.frame == nil {
+		// The segment size is the peer's, so the pooled buffer is capped;
+		// a larger frame is still received, into a fresh slice.
+		ss.frame = getBuf(chunkFrameBytes(min(ss.seg, DefaultStreamChunkBytes)))
+	}
 	for {
-		raw, err := ss.conn.Recv(env)
+		raw, err := transport.RecvInto(env, ss.conn, *ss.frame, 0)
 		if err != nil {
 			ss.fatal = err
 			return nil, err
@@ -174,8 +196,8 @@ type writeSrc struct {
 	stream *srvStream // nil when the payload is inline
 	// flush (optional, streamed writes) dispatches the runs buffered
 	// from the current segment. It runs before the next segment is
-	// received, because chunk data aliases the connection's receive
-	// buffer and is only valid until the next Recv.
+	// received, because chunk data aliases the stream's receive buffer
+	// and is only valid until the next receive.
 	flush func(env transport.Env) error
 }
 
@@ -274,7 +296,7 @@ func (s *Server) streamRead(env transport.Env, conn transport.Conn, st storage.S
 	}
 	segs := sd.planStream(total, seg)
 	ackedThrough := int64(-1)
-	fp := getBuf(13 + int(seg)) // chunk frame: type+seq+err+len = 13 bytes of header
+	fp := getBuf(chunkFrameBytes(seg))
 	defer func() { putBuf(fp) }()
 	frame := *fp
 	// Segment 0 comes off the disk before anything is on the wire.

@@ -101,6 +101,29 @@ func RecvTimeout(env Env, c Conn, d time.Duration) ([]byte, error) {
 	return c.Recv(env)
 }
 
+// BufConn is implemented by connections that can receive a frame into
+// a caller-supplied buffer. Only the TCP transport implements it: the
+// Mem and Sim transports already hand over the copy their Send made.
+type BufConn interface {
+	Conn
+	// RecvInto behaves like RecvTimeout, except that a frame no longer
+	// than cap(buf) is read into buf and the result aliases it: it is
+	// valid only until buf is reused. A larger frame comes back in a
+	// fresh slice.
+	RecvInto(env Env, buf []byte, d time.Duration) ([]byte, error)
+}
+
+// RecvInto performs a buffer-reusing receive when c supports it,
+// falling back to RecvTimeout (a fresh or sender-owned frame)
+// otherwise. Only a caller that is done with the previous frame before
+// it reuses buf may pass one; Recv and RecvTimeout never alias.
+func RecvInto(env Env, c Conn, buf []byte, d time.Duration) ([]byte, error) {
+	if bc, ok := c.(BufConn); ok {
+		return bc.RecvInto(env, buf, d)
+	}
+	return RecvTimeout(env, c, d)
+}
+
 // PollConn is implemented by connections that support a non-blocking
 // receive. The Mem and Sim transports implement it; TCP does not (a
 // frame may arrive in pieces, so "is a message ready" has no cheap
