@@ -21,10 +21,11 @@ go test -shuffle=on -timeout 300s ./...
 # flushes run inside cached operations and revocations); ten repeats
 # under the race detector shake out interleavings one pass misses.
 go test -race -count 10 -timeout 300s -run '^Test(Cache|Revoke)' ./internal/pvfs
-# TCP receives reuse buffers (the per-conn read buffer, the stream
-# chunk buffers): ten raced repeats of the framing and streaming tests
-# catch a frame or chunk read after its buffer was refilled.
-go test -race -count 10 -timeout 300s -run '^Test(TCP|Stream)' ./internal/transport ./internal/pvfs
+# TCP receives reuse buffers (the per-conn read buffer, the pooled
+# reply and chunk buffers) and read sinks scatter them into memory as
+# they arrive: ten raced repeats of the framing, streaming and scatter
+# tests catch a frame or chunk read after its buffer was refilled.
+go test -race -count 10 -timeout 300s -run '^Test(TCP|Stream|ReadScatter)' ./internal/transport ./internal/pvfs
 # The race detector instruments allocations, so the hot-path and
 # alloc-free bounds are only exact without it.
 go test -count 1 -timeout 120s -run Alloc ./...

@@ -132,7 +132,7 @@ func (f *File) sieve(env transport.Env, pos, nbytes int64, buf []byte, memType *
 						return err
 					}
 				}
-				sbuf = make([]byte, whi-wlo)
+				sbuf = f.scratch(whi - wlo)
 				if err := f.pv.ReadContig(env, wlo, sbuf); err != nil {
 					return err
 				}

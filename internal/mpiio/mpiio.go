@@ -120,6 +120,22 @@ type File struct {
 
 	// ptr is the individual file pointer, in etypes (see pointer.go).
 	ptr int64
+
+	// buf is the scratch buffer of sieve windows and two-phase rounds
+	// (see scratch).
+	buf []byte
+}
+
+// scratch returns an n-byte buffer reused across this File's sieve
+// windows and two-phase rounds. Callers ask for at most one sieve window
+// or one collective buffer, so it never outgrows the larger of those
+// hints. Its bytes are stale: each caller reads into all of it or
+// overwrites all of it, and is done with it before the next call.
+func (f *File) scratch(n int64) []byte {
+	if int64(cap(f.buf)) < n {
+		f.buf = make([]byte, n)
+	}
+	return f.buf[:n]
 }
 
 // Open wraps an open pvfs file. comm may be nil if only independent

@@ -190,6 +190,22 @@ func rankData(rank, n int) []byte {
 	return out
 }
 
+// bufferHints are the hint sets the equivalence tests run each method
+// under: the defaults, and sieve and collective buffers far smaller than
+// an access, so one File's scratch buffer serves many sieve windows and
+// two-phase rounds.
+func bufferHints() []struct {
+	name  string
+	hints Hints
+} {
+	small := DefaultHints()
+	small.SieveBufSize, small.CBBufSize = 1000, 1500
+	return []struct {
+		name  string
+		hints Hints
+	}{{"default", DefaultHints()}, {"small-buffers", small}}
+}
+
 func TestAllMethodsWriteEquivalence(t *testing.T) {
 	const (
 		nServers  = 4
@@ -205,56 +221,60 @@ func TestAllMethodsWriteEquivalence(t *testing.T) {
 	for _, m := range []Method{Posix, Sieve, TwoPhase, ListIO, DtypeIO} {
 		m := m
 		t.Run(m.String(), func(t *testing.T) {
-			r := newRig(t, nServers, nProcs)
-			name := "w-" + m.String()
-			r.parallel(func(rank int, comm *mpi.Comm) {
-				c := r.client()
-				defer c.Close()
-				var pf *pvfs.File
-				var err error
-				if rank == 0 {
-					pf, err = c.Create(r.env, name, 4096, 0)
-				}
-				comm.Barrier(r.env)
-				if rank != 0 {
-					pf, err = c.Open(r.env, name)
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				f := Open(pf, comm, m, DefaultHints())
-				if err := f.SetView(0, datatype.Byte, blockView(rank, nProcs, rows, cols, blockCols)); err != nil {
-					t.Error(err)
-					return
-				}
-				data := rankData(rank, perRank)
-				if err := f.WriteAtAll(r.env, 0, data, datatype.Bytes(int64(perRank)), 1); err != nil {
-					t.Errorf("rank %d: %v", rank, err)
-					return
-				}
-				comm.Barrier(r.env)
-			})
-			if t.Failed() {
-				return
-			}
-			// Verify the file image.
-			c := r.client()
-			defer c.Close()
-			pf, err := c.Open(r.env, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, rows*cols)
-			if err := pf.ReadContig(r.env, 0, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("method %v: first diff at byte %d", m, i)
+			for _, hc := range bufferHints() {
+				t.Run(hc.name, func(t *testing.T) {
+					r := newRig(t, nServers, nProcs)
+					name := "w-" + m.String()
+					r.parallel(func(rank int, comm *mpi.Comm) {
+						c := r.client()
+						defer c.Close()
+						var pf *pvfs.File
+						var err error
+						if rank == 0 {
+							pf, err = c.Create(r.env, name, 4096, 0)
+						}
+						comm.Barrier(r.env)
+						if rank != 0 {
+							pf, err = c.Open(r.env, name)
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						f := Open(pf, comm, m, hc.hints)
+						if err := f.SetView(0, datatype.Byte, blockView(rank, nProcs, rows, cols, blockCols)); err != nil {
+							t.Error(err)
+							return
+						}
+						data := rankData(rank, perRank)
+						if err := f.WriteAtAll(r.env, 0, data, datatype.Bytes(int64(perRank)), 1); err != nil {
+							t.Errorf("rank %d: %v", rank, err)
+							return
+						}
+						comm.Barrier(r.env)
+					})
+					if t.Failed() {
+						return
 					}
-				}
+					// Verify the file image.
+					c := r.client()
+					defer c.Close()
+					pf, err := c.Open(r.env, name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := make([]byte, rows*cols)
+					if err := pf.ReadContig(r.env, 0, got); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("method %v: first diff at byte %d", m, i)
+							}
+						}
+					}
+				})
 			}
 		})
 	}
@@ -273,49 +293,53 @@ func TestAllMethodsReadEquivalence(t *testing.T) {
 	for _, m := range []Method{Posix, Sieve, TwoPhase, ListIO, DtypeIO} {
 		m := m
 		t.Run(m.String(), func(t *testing.T) {
-			r := newRig(t, nServers, nProcs)
-			// Populate the file.
-			img := make([]byte, rows*cols)
-			rand.New(rand.NewSource(7)).Read(img)
-			c := r.client()
-			pf, err := c.Create(r.env, "r.dat", 1024, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := pf.WriteContig(r.env, 0, img); err != nil {
-				t.Fatal(err)
-			}
-			c.Close()
+			for _, hc := range bufferHints() {
+				t.Run(hc.name, func(t *testing.T) {
+					r := newRig(t, nServers, nProcs)
+					// Populate the file.
+					img := make([]byte, rows*cols)
+					rand.New(rand.NewSource(7)).Read(img)
+					c := r.client()
+					pf, err := c.Create(r.env, "r.dat", 1024, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := pf.WriteContig(r.env, 0, img); err != nil {
+						t.Fatal(err)
+					}
+					c.Close()
 
-			r.parallel(func(rank int, comm *mpi.Comm) {
-				cc := r.client()
-				defer cc.Close()
-				pf, err := cc.Open(r.env, "r.dat")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				f := Open(pf, comm, m, DefaultHints())
-				view := blockView(rank, nProcs, rows, cols, blockCols)
-				if err := f.SetView(0, datatype.Byte, view); err != nil {
-					t.Error(err)
-					return
-				}
-				got := make([]byte, perRank)
-				if err := f.ReadAtAll(r.env, 0, got, datatype.Bytes(int64(perRank)), 1); err != nil {
-					t.Errorf("rank %d: %v", rank, err)
-					return
-				}
-				// Oracle: pack the view regions out of the image.
-				want := make([]byte, 0, perRank)
-				view.Walk(0, func(off, n int64) bool {
-					want = append(want, img[off:off+n]...)
-					return true
+					r.parallel(func(rank int, comm *mpi.Comm) {
+						cc := r.client()
+						defer cc.Close()
+						pf, err := cc.Open(r.env, "r.dat")
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						f := Open(pf, comm, m, hc.hints)
+						view := blockView(rank, nProcs, rows, cols, blockCols)
+						if err := f.SetView(0, datatype.Byte, view); err != nil {
+							t.Error(err)
+							return
+						}
+						got := make([]byte, perRank)
+						if err := f.ReadAtAll(r.env, 0, got, datatype.Bytes(int64(perRank)), 1); err != nil {
+							t.Errorf("rank %d: %v", rank, err)
+							return
+						}
+						// Oracle: pack the view regions out of the image.
+						want := make([]byte, 0, perRank)
+						view.Walk(0, func(off, n int64) bool {
+							want = append(want, img[off:off+n]...)
+							return true
+						})
+						if !bytes.Equal(got, want) {
+							t.Errorf("rank %d: method %v read wrong data", rank, m)
+						}
+					})
 				})
-				if !bytes.Equal(got, want) {
-					t.Errorf("rank %d: method %v read wrong data", rank, m)
-				}
-			})
+			}
 		})
 	}
 }

@@ -279,7 +279,7 @@ func (f *File) tpReadChunk(env transport.Env, p *tpPlan, r int, incoming [][]byt
 	if lo < 0 {
 		return replies, nil // nothing requested this round
 	}
-	cbuf := make([]byte, hi-lo)
+	cbuf := f.scratch(hi - lo)
 	if err := f.pv.ReadContig(env, lo, cbuf); err != nil {
 		return nil, err
 	}
@@ -346,7 +346,7 @@ func (f *File) tpWriteChunk(env transport.Env, p *tpPlan, r int, incoming [][]by
 		return nil // nothing to write this round
 	}
 	covered := coveredSpan(all, lo, hi)
-	cbuf := make([]byte, hi-lo)
+	cbuf := f.scratch(hi - lo)
 	if !covered {
 		// Read-modify-write under MPI-IO semantics (no locks needed).
 		if err := f.pv.ReadContig(env, lo, cbuf); err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -649,7 +650,8 @@ type attempt func(env transport.Env, sp *trace.Span, m, phys int) (replay int64,
 // member marked suspect, and the client backs off before the next
 // attempt; success clears the suspicion. A server-level rejection ends
 // the exchange after n consecutive ones: the servers are answering, and
-// every answer is no. attempts overrides the policy's budget when
+// every answer is no. A fault of the caller's own access (accessError)
+// ends it at once. attempts overrides the policy's budget when
 // nonzero (never below n). first is the member the caller preferred;
 // success at another member counts a degraded read.
 func (c *Client) exchange(env transport.Env, span string, g, first, start, n, attempts int, try attempt) error {
@@ -690,6 +692,10 @@ func (c *Client) exchange(env transport.Env, span string, g, first, start, n, at
 				}
 			}
 			return nil
+		}
+		if errors.As(err, new(*accessError)) {
+			c.dropConn(phys) // the reply was abandoned mid-way
+			return err
 		}
 		if !retryable(err) {
 			rejected++
@@ -736,39 +742,46 @@ func (c *Client) sleepBackoff(env transport.Env, backoff time.Duration) time.Dur
 }
 
 // tryExchange is one attempt of exchange: dial if needed, send, await
-// the matching response, which may carry at most max bytes of data.
-func (c *Client) tryExchange(env transport.Env, s int, req []byte, descLen int64, seq uint64, max int64) (*wire.IOResp, error) {
+// the matching response, whose data goes to sink k (nil: the reply
+// carries none).
+func (c *Client) tryExchange(env transport.Env, s int, req []byte, descLen int64, seq uint64, k *sink) error {
 	conn, err := c.conn(env, s)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := conn.Send(env, req); err != nil {
-		return nil, fmt.Errorf("pvfs: send to server %d: %w", s, err)
+		return fmt.Errorf("pvfs: send to server %d: %w", s, err)
 	}
 	if st := c.stats(); st != nil {
 		st.AddWire(descLen)
 	}
-	return c.recvResp(env, conn, s, seq, c.Retry.Timeout, max)
+	return c.recvResp(env, conn, s, seq, c.Retry.Timeout, k)
 }
 
 // recvResp receives frames from conn until the response matching seq
-// arrives, reassembling a streamed read. Debris from earlier attempts
-// on the same connection — duplicated responses with a stale Seq,
-// leftover stream acks — is discarded; a response stream with a stale
-// Seq cannot be skipped coherently, so it fails the attempt and the
-// caller redials. A response carrying more than max bytes of data is
-// rejected, a streamed one before anything is allocated for it: the
-// length comes from outside the process, and no reply to an operation
-// holds more than the operation reads (writes and size queries read 0).
-func (c *Client) recvResp(env transport.Env, conn transport.Conn, s int, seq uint64, timeout time.Duration, max int64) (*wire.IOResp, error) {
+// arrives, and hands a read's data to sink k as it comes off the wire.
+// Debris from earlier attempts on the same connection — duplicated
+// responses with a stale Seq, leftover stream acks — is discarded; a
+// response stream with a stale Seq cannot be skipped coherently, so it
+// fails the attempt and the caller redials. A response whose data is
+// not exactly what the server holds of the access (k.total; 0 for a
+// nil sink: writes and size queries read nothing) is refused before any
+// byte lands: the length comes from outside the process. An inline
+// reply is received into a pooled frame buffer that is released when
+// recvResp returns, so its data never outlives the receive.
+func (c *Client) recvResp(env transport.Env, conn transport.Conn, s int, seq uint64, timeout time.Duration, k *sink) error {
+	want := k.holds()
+	seg, _ := streamParams(c.StreamChunkBytes, c.StreamWindow)
+	fb := getBuf(respFrameBytes(min(want, seg)))
+	defer putBuf(fb)
 	for {
-		raw, err := transport.RecvTimeout(env, conn, timeout)
+		raw, err := transport.RecvInto(env, conn, *fb, timeout)
 		if err != nil {
-			return nil, fmt.Errorf("pvfs: recv from server %d: %w", s, err)
+			return fmt.Errorf("pvfs: recv from server %d: %w", s, err)
 		}
 		t, v, err := wire.DecodeMsg(raw)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch t {
 		case wire.MTIOResp:
@@ -777,80 +790,90 @@ func (c *Client) recvResp(env transport.Env, conn transport.Conn, s int, seq uin
 				continue // stale or duplicated response
 			}
 			if !r.OK {
-				return nil, &serverError{s: s, msg: r.Err}
+				return &serverError{s: s, msg: r.Err}
 			}
-			if int64(len(r.Data)) > max {
-				return nil, fmt.Errorf("pvfs: server %d replied %d bytes to an operation reading %d", s, len(r.Data), max)
+			if int64(len(r.Data)) != want {
+				return fmt.Errorf("pvfs: server %d replied %d bytes to an access holding %d there", s, len(r.Data), want)
 			}
-			return r, nil
+			if k == nil {
+				return nil
+			}
+			k.size = r.Size
+			if err := k.put(r.Data); err != nil {
+				return err
+			}
+			return k.finish(s)
 		case wire.MTReadStreamHdr:
 			h := v.(*wire.ReadStreamHdr)
 			if h.Seq != seq {
-				return nil, fmt.Errorf("pvfs: server %d: stale stream (seq %d, want %d)", s, h.Seq, seq)
+				return fmt.Errorf("pvfs: server %d: stale stream (seq %d, want %d)", s, h.Seq, seq)
 			}
-			data, err := c.recvStream(env, conn, h, timeout, max)
-			if err != nil {
-				return nil, fmt.Errorf("pvfs: server %d: %w", s, err)
+			if err := c.recvStream(env, conn, h, timeout, k, fb); err != nil {
+				return fmt.Errorf("pvfs: server %d: %w", s, err)
 			}
-			return &wire.IOResp{Seq: seq, OK: true, Data: data}, nil
+			return k.finish(s)
 		case wire.MTStreamChunk, wire.MTStreamAck:
 			continue // debris from an abandoned streamed attempt
 		default:
-			return nil, errors.New("pvfs: unexpected I/O response")
+			return errors.New("pvfs: unexpected I/O response")
 		}
 	}
 }
 
-// recvStream reassembles a streamed read response, granting credit as
-// segments are consumed. Duplicated already-consumed chunks are
-// skipped; a gap or a short/timed-out receive fails the attempt, and
-// the caller drops the connection (the stream cannot resynchronize).
-// A header announcing more than max bytes fails before the allocation.
-func (c *Client) recvStream(env transport.Env, conn transport.Conn, h *wire.ReadStreamHdr, timeout time.Duration, max int64) ([]byte, error) {
-	if h.Total <= 0 || h.Total > max || h.SegBytes <= 0 || h.Window <= 0 {
-		return nil, fmt.Errorf("bad stream header total=%d (operation reads %d) seg=%d window=%d", h.Total, max, h.SegBytes, h.Window)
+// recvStream feeds a streamed read response to sink k segment by
+// segment, granting credit as segments are consumed. Duplicated
+// already-consumed chunks are dropped before the sink sees them; a gap
+// or a short/timed-out receive fails the attempt, and the caller drops
+// the connection (the stream cannot resynchronize). A header announcing
+// anything but the k.total bytes the server holds of the access fails
+// before any byte lands. Chunk frames are received into fb, grown to the
+// segment's frame if it is smaller: each segment is scattered before the
+// next receive reuses it.
+func (c *Client) recvStream(env transport.Env, conn transport.Conn, h *wire.ReadStreamHdr, timeout time.Duration, k *sink, fb *[]byte) error {
+	if h.Total != k.holds() || h.Total <= 0 || h.SegBytes <= 0 || h.Window <= 0 {
+		return fmt.Errorf("bad stream header total=%d (server holds %d of the access) seg=%d window=%d", h.Total, k.holds(), h.SegBytes, h.Window)
 	}
 	total, seg, window := h.Total, int64(h.SegBytes), int64(h.Window)
 	nseg := (total + seg - 1) / seg
-	data := make([]byte, total)
+	if n := chunkFrameBytes(min(seg, total)); cap(*fb) < n {
+		*fb = make([]byte, n)
+	}
 	ab := getBuf(16)
 	defer putBuf(ab)
-	// Chunk frames are received into one pooled buffer: each segment is
-	// copied out before the next receive reuses it.
-	fb := getBuf(chunkFrameBytes(min(seg, total)))
-	defer putBuf(fb)
 	var chunk wire.StreamChunk
-	for k := int64(0); k < nseg; k++ {
+	for i := int64(0); i < nseg; i++ {
 		for {
 			raw, err := transport.RecvInto(env, conn, *fb, timeout)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if err := wire.DecodeStreamChunk(raw, &chunk); err != nil {
-				return nil, err
+				return err
 			}
-			if chunk.Err == "" && int64(chunk.Seq) < k {
+			if chunk.Err == "" && int64(chunk.Seq) < i {
 				continue // injected duplicate of a consumed segment
 			}
 			break
 		}
 		if chunk.Err != "" {
-			return nil, errors.New(chunk.Err)
+			return errors.New(chunk.Err)
 		}
-		nk := segLen(total, seg, k)
-		if int64(chunk.Seq) != k || int64(len(chunk.Data)) != nk {
-			return nil, fmt.Errorf("stream chunk seq=%d len=%d, want seq=%d len=%d",
-				chunk.Seq, len(chunk.Data), k, nk)
+		ni := segLen(total, seg, i)
+		if int64(chunk.Seq) != i || int64(len(chunk.Data)) != ni {
+			return fmt.Errorf("stream chunk seq=%d len=%d, want seq=%d len=%d",
+				chunk.Seq, len(chunk.Data), i, ni)
 		}
-		copy(data[k*seg:], chunk.Data)
-		if k+window < nseg {
-			*ab = wire.AppendStreamAck(*ab, uint32(k))
+		if err := k.put(chunk.Data); err != nil {
+			return err
+		}
+		if i+window < nseg {
+			*ab = wire.AppendStreamAck(*ab, uint32(i))
 			if err := conn.Send(env, *ab); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return data, nil
+	return nil
 }
 
 // dropConn closes and forgets the cached connection to server s (after
@@ -863,21 +886,23 @@ func (c *Client) dropConn(s int) {
 	}
 }
 
-// readGroups issues one read-class request per involved replica group
-// and collects the responses in group order; each group's exchange runs
-// in its own sibling thread, so a streamed response draining from one
-// server does not stall the others. The picker names each group's
+// readGroups issues one read-class request per involved replica group,
+// each group's reply consumed by its sink, sinks[g]; each group's
+// exchange runs in its own sibling thread, so a streamed response
+// draining from one server does not stall the others. Every attempt
+// restarts its group's sink, since a retried or failed-over read
+// restarts its reply at byte 0. The picker names each group's
 // preferred member (off keys it, so repeated reads of one region keep
 // hitting the member whose page cache has it); suspected-dead members
 // are skipped up front, and each failed attempt rotates to the next
 // member, so failover from a freshly-dead server costs one failed
 // attempt, not a retry ladder. enc builds the frame addressed to one
 // member, carrying tag, whose sequence matches responses to this
-// request generation; max bounds each response's data.
-func (f *File) readGroups(env transport.Env, off int64, groups []int, tag wire.ReqTag, enc encoder, max int64) ([]*wire.IOResp, error) {
+// request generation. readGroups returns only after every group's
+// exchange has ended, so no sink writes memory after it.
+func (f *File) readGroups(env transport.Env, off int64, groups []int, tag wire.ReqTag, enc encoder, sinks []sink) error {
 	c := f.c
 	k := c.k()
-	out := make([]*wire.IOResp, len(groups))
 	fns := make([]func(transport.Env) error, len(groups))
 	for i, g := range groups {
 		first := c.picker().Pick(f.handle, off, g, k)
@@ -891,20 +916,16 @@ func (f *File) readGroups(env transport.Env, off int64, groups []int, tag wire.R
 		// Pre-dial best-effort: a server that is down right now is left
 		// for the retry ladder, which redials with backoff.
 		_, _ = c.conn(env, c.phys(g, start))
-		i, g := i, g
+		g, sk := g, &sinks[g]
 		fns[i] = func(env transport.Env) error {
 			return c.exchange(env, "attempt", g, first, start, k, 0, func(env transport.Env, _ *trace.Span, m, phys int) (int64, error) {
+				sk.reset()
 				req := enc(tag, g, m, nil)
-				r, err := c.tryExchange(env, phys, req, int64(len(req)), tag.Seq, max)
-				out[i] = r
-				return 0, err
+				return 0, c.tryExchange(env, phys, req, int64(len(req)), tag.Seq, sk)
 			})
 		}
 	}
-	if err := env.Parallel("pvfs-read", fns...); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return env.Parallel("pvfs-read", fns...)
 }
 
 // writeGroups issues one write per involved replica group and waits for
@@ -1008,8 +1029,7 @@ func (c *Client) writeMember(env transport.Env, g, m int, payload []byte, tag wi
 	if total <= seg {
 		req := enc(tag, g, m, payload)
 		return c.exchange(env, "attempt", g, m, m, 1, attempts, func(env transport.Env, _ *trace.Span, _, phys int) (int64, error) {
-			_, err := c.tryExchange(env, phys, req, int64(len(req))-total, tag.Seq, 0)
-			return total, err
+			return total, c.tryExchange(env, phys, req, int64(len(req))-total, tag.Seq, nil)
 		})
 	}
 	inner := enc(tag, g, m, nil)
@@ -1069,8 +1089,7 @@ func (c *Client) tryWriteStream(env transport.Env, s int, payload, inner []byte,
 	if err != nil {
 		return resume, fmt.Errorf("pvfs: server %d: %w", s, err)
 	}
-	_, err = c.recvResp(env, conn, s, seq, c.Retry.Timeout, 0)
-	return resume, err
+	return resume, c.recvResp(env, conn, s, seq, c.Retry.Timeout, nil)
 }
 
 // involvedServers reports which servers hold any byte of [off, off+n),
@@ -1198,18 +1217,123 @@ func (f *File) do(env transport.Env, p plan) error {
 	return nil
 }
 
-// recv sends a read plan's requests and scatters the replies into
-// memory, reporting the piece count.
+// recv sends a read plan's requests and scatters each server's reply
+// into memory as it arrives, through a sink per server over one walk of
+// the access, reporting the piece count.
 func (f *File) recv(env transport.Env, p *plan, tag wire.ReqTag) (int64, error) {
-	resps, err := f.readGroups(env, p.pick, p.groups, tag, p.enc, p.nbytes)
-	if err != nil {
+	ss := getSinks(&p.w)
+	defer putSinks(ss)
+	if err := f.readGroups(env, p.pick, p.groups, tag, p.enc, ss.by); err != nil {
 		return 0, err
 	}
-	bufs := make([][]byte, f.layout.NServers)
-	for i, g := range p.groups {
-		bufs[g] = resps[i].Data
+	var pieces int64
+	for _, g := range p.groups {
+		pieces += ss.by[g].pieces
 	}
-	return p.w.scatter(bufs)
+	return pieces, nil
+}
+
+// span is one piece of a read in walker.move's terms: n bytes at at.
+type span struct{ at, n int64 }
+
+// sink consumes one server's reply to a read: a cursor over the
+// server's pieces in stream order, moving each chunk of the reply into
+// the caller's memory as it comes off the wire. A piece cut by a
+// chunk's end is moved in two parts.
+type sink struct {
+	w      *walker
+	spans  []span // the server's pieces, in stream order
+	total  int64  // bytes the server holds of the access
+	size   int64  // a LocalSize answer
+	i      int    // next piece
+	done   int64  // bytes of spans[i] already moved
+	pieces int64  // pieces moved, counted as walker.count does
+}
+
+// holds is the reply length the sink takes: 0 for none (nil).
+func (k *sink) holds() int64 {
+	if k == nil {
+		return 0
+	}
+	return k.total
+}
+
+// reset rewinds the cursor for a new attempt.
+func (k *sink) reset() { k.i, k.done, k.pieces = 0, 0, 0 }
+
+// put moves the reply's next len(data) bytes into memory. The caller
+// guarantees they are within total, and data is not read after put
+// returns.
+func (k *sink) put(data []byte) error {
+	for len(data) > 0 {
+		sp := k.spans[k.i]
+		m := min(sp.n-k.done, int64(len(data)))
+		got, err := k.w.move(data[:m], sp.at+k.done, m, false)
+		if err != nil {
+			return &accessError{err}
+		}
+		data = data[m:]
+		if k.done+m < sp.n {
+			k.done += m
+			return nil
+		}
+		if k.done > 0 { // a cut piece counts once, as the whole of it
+			got, _ = k.w.move(nil, sp.at, sp.n, false)
+		}
+		k.pieces += got
+		k.i, k.done = k.i+1, 0
+	}
+	return nil
+}
+
+// finish checks that server s's reply covered every piece.
+func (k *sink) finish(s int) error {
+	if k.i != len(k.spans) {
+		return fmt.Errorf("pvfs: server %d returned short data", s)
+	}
+	return nil
+}
+
+// accessError is a fault of the caller's own access, found while a
+// reply is scattered: a memory run outside its buffer. No retry or
+// other replica can mend it.
+type accessError struct{ err error }
+
+func (e *accessError) Error() string { return e.err.Error() }
+func (e *accessError) Unwrap() error { return e.err }
+
+// sinkSet is one read's sinks, indexed by server, pooled with their
+// piece lists.
+type sinkSet struct{ by []sink }
+
+var sinkPool = sync.Pool{New: func() any { return new(sinkSet) }}
+
+// putSinks returns ss to the pool without pinning the access's memory.
+func putSinks(ss *sinkSet) {
+	for i := range ss.by {
+		ss.by[i].w = nil
+	}
+	sinkPool.Put(ss)
+}
+
+// getSinks walks w once into a pooled set of per-server sinks.
+func getSinks(w *walker) *sinkSet {
+	ss := sinkPool.Get().(*sinkSet)
+	n := w.f.layout.NServers
+	if cap(ss.by) < n {
+		ss.by = make([]sink, n)
+	}
+	ss.by = ss.by[:n]
+	for i := range ss.by {
+		ss.by[i] = sink{w: w, spans: ss.by[i].spans[:0]}
+	}
+	_ = w.walk(func(server int, at, n int64) error {
+		k := &ss.by[server]
+		k.spans = append(k.spans, span{at, n})
+		k.total += n
+		return nil
+	})
+	return ss
 }
 
 // walker is one access method's piece walker. It visits the access in
@@ -1296,11 +1420,11 @@ func (w *walker) move(flat []byte, at, n int64, gather bool) (int64, error) {
 	return 1, nil
 }
 
-// count is the scatter's piece count without the replies, which prices
-// a read's job building before they exist.
+// count is the read sinks' piece count without the replies, which
+// prices a read's job building before they exist.
 func (w *walker) count() int64 {
 	var pieces int64
-	// A bad memory run fails the scatter too, which reports it.
+	// A bad memory run fails the read's sink too, which reports it.
 	_ = w.walk(func(_ int, at, n int64) error {
 		got, err := w.move(nil, at, n, false)
 		pieces += got
@@ -1335,33 +1459,6 @@ func (w *walker) pack() ([][]byte, int64, error) {
 		return err
 	})
 	return bufs, pieces, err
-}
-
-// scatter copies a read's per-server replies into memory in stream
-// order, consuming each server's reply through its own cursor, and
-// reports the piece count. A reply the access does not consume exactly
-// — short, or with bytes left over — fails the read.
-func (w *walker) scatter(bufs [][]byte) (int64, error) {
-	var pieces int64
-	err := w.walk(func(server int, at, n int64) error {
-		b := bufs[server]
-		if n > int64(len(b)) {
-			return fmt.Errorf("pvfs: server %d returned short data", server)
-		}
-		got, err := w.move(b[:n], at, n, false)
-		bufs[server] = b[n:]
-		pieces += got
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	for s, b := range bufs {
-		if len(b) > 0 {
-			return 0, fmt.Errorf("pvfs: server %d returned %d bytes more than the access reads", s, len(b))
-		}
-	}
-	return pieces, nil
 }
 
 // contig runs a contiguous access of buf at logical offset off: one
@@ -1752,16 +1849,16 @@ func (f *File) Size(env transport.Env) (int64, error) {
 			return 0, err
 		}
 	}
-	servers := f.allGroups()
-	resps, err := f.readGroups(env, 0, servers, f.c.tag(), func(tag wire.ReqTag, g, m int, _ []byte) []byte {
+	sinks := make([]sink, f.layout.NServers)
+	err := f.readGroups(env, 0, f.allGroups(), f.c.tag(), func(tag wire.ReqTag, g, m int, _ []byte) []byte {
 		return wire.EncodeLocalSize(&wire.LocalSizeReq{Tag: tag, Layout: f.wireLayout(g, m)})
-	}, 0)
+	}, sinks)
 	if err != nil {
 		return 0, err
 	}
 	var size int64
-	for i, s := range servers {
-		if eof := f.layout.LocalEOF(s, resps[i].Size); eof > size {
+	for s := range sinks {
+		if eof := f.layout.LocalEOF(s, sinks[s].size); eof > size {
 			size = eof
 		}
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 // packFile is a File with only a layout: enough for the client's pack
-// and scatter, which never touch the network.
+// and its read sinks, which never touch the network.
 func packFile(nServers int, strip int64) *File {
 	return &File{layout: striping.Layout{StripSize: strip, NServers: nServers}}
 }
@@ -27,9 +27,9 @@ func patternedMem(n int64) []byte {
 	return b
 }
 
-// TestDtypePackCompiledMatchesDual holds the compiled pack and scatter
-// to the interpreted Dual walk: identical per-server payloads, identical
-// scattered memory, and identical piece counts — the count prices the
+// TestDtypePackCompiledMatchesDual holds the compiled pack and the read
+// sinks' scatter to the interpreted Dual walk: identical per-server
+// payloads, identical scattered memory, and identical piece counts — the count prices the
 // client's job building in virtual time. The strips are small enough
 // that their boundaries cut memory runs mid-run.
 func TestDtypePackCompiledMatchesDual(t *testing.T) {
@@ -85,15 +85,32 @@ func TestDtypePackCompiledMatchesDual(t *testing.T) {
 						}
 					}
 
+					// Each reply goes to its server's sink in 7-byte chunks,
+					// so chunk ends cut pieces and memory runs mid-way.
 					scatter := func(w walker) ([]byte, int64) {
 						t.Helper()
 						w.mem = make([]byte, len(a.Mem))
-						bufs := append([][]byte(nil), want...)
-						n, err := w.scatter(bufs)
-						if err != nil {
-							t.Fatal(err)
+						ss := getSinks(&w)
+						defer putSinks(ss)
+						var pieces int64
+						for s, data := range want {
+							k := &ss.by[s]
+							if k.total != int64(len(data)) {
+								t.Fatalf("server %d sink expects %d bytes, pack made %d", s, k.total, len(data))
+							}
+							for len(data) > 0 {
+								m := min(7, len(data))
+								if err := k.put(data[:m]); err != nil {
+									t.Fatal(err)
+								}
+								data = data[m:]
+							}
+							if err := k.finish(s); err != nil {
+								t.Fatal(err)
+							}
+							pieces += k.pieces
 						}
-						return w.mem, n
+						return w.mem, pieces
 					}
 					wantMem, wantN := scatter(dual)
 					gotMem, gotN := scatter(comp)

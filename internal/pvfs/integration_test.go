@@ -2,6 +2,7 @@ package pvfs
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,8 +232,8 @@ func TestClientRejectsShortData(t *testing.T) {
 
 // TestClientRejectsOverlongReply: a read fails when a server's reply
 // holds more bytes than the access consumes, on every access path, and
-// a stream header announcing more than the operation reads fails the
-// attempt before the client allocates for it.
+// a stream header announcing other than what the server holds of the
+// access fails the attempt before any byte lands.
 func TestClientRejectsOverlongReply(t *testing.T) {
 	// wantBytes is what the access asks of the one server.
 	wantBytes := func(v any) int64 {
@@ -281,6 +282,21 @@ func TestClientRejectsOverlongReply(t *testing.T) {
 			})
 			if err := rd.read(env, f); err == nil {
 				t.Fatal("stream header announcing 1<<62 bytes was accepted")
+			}
+		})
+		t.Run("inexact-stream/"+rd.name, func(t *testing.T) {
+			// A header one byte short of what the server holds is
+			// refused before any chunk is read into memory.
+			env, f := fakeIOFile(t, func(v any, seq uint64) []byte {
+				return wire.EncodeReadStreamHdr(&wire.ReadStreamHdr{Seq: seq, Total: wantBytes(v) - 1, SegBytes: 4, Window: 4})
+			})
+			clear(mem)
+			err := rd.read(env, f)
+			if err == nil || !strings.Contains(err.Error(), "bad stream header") {
+				t.Fatalf("stream header one byte short: err = %v", err)
+			}
+			if !bytes.Equal(mem, make([]byte, len(mem))) {
+				t.Fatal("memory written before the header was checked")
 			}
 		})
 	}

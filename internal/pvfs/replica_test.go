@@ -15,7 +15,8 @@ import (
 
 // replicatedCluster is an in-process cluster of groups*k I/O servers
 // organized into replica groups of k consecutive members, with the
-// metadata server striping over groups (DESIGN.md §16).
+// metadata server striping over groups (DESIGN.md §16). tune (optional)
+// adjusts each server before it starts serving.
 type replicatedCluster struct {
 	*testCluster
 	k      int
@@ -23,7 +24,7 @@ type replicatedCluster struct {
 	srvIO  *iostats.Stats // shared by all servers (repair counters)
 }
 
-func startReplicatedCluster(t *testing.T, groups, k int) *replicatedCluster {
+func startReplicatedCluster(t *testing.T, groups, k int, tune ...func(*Server)) *replicatedCluster {
 	t.Helper()
 	rc := &replicatedCluster{
 		testCluster: &testCluster{
@@ -46,6 +47,9 @@ func startReplicatedCluster(t *testing.T, groups, k int) *replicatedCluster {
 		s.Stats = rc.srvIO
 		for _, p := range placement.Peers(i) {
 			s.ReplicaPeers = append(s.ReplicaPeers, tc.addrs[p])
+		}
+		for _, fn := range tune {
+			fn(s)
 		}
 		tc.servers = append(tc.servers, s)
 		go s.Serve(tc.env)

@@ -49,6 +49,11 @@ func segLen(total, seg, k int64) int64 {
 // 13 bytes of type, sequence, empty error string and data length first.
 func chunkFrameBytes(seg int64) int { return 13 + int(seg) }
 
+// respFrameBytes is the frame size of an IOResp carrying n data bytes
+// and no error: type, sequence, OK, empty error string, size and data
+// length first.
+func respFrameBytes(n int64) int { return 26 + int(n) }
+
 // bufPool recycles the scratch buffers that stage stream segments and
 // frames, so steady-state streaming does not allocate per segment.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}

@@ -69,6 +69,8 @@ func startStreamCluster(t *testing.T, nServers, chunk, window int, tune func(*Se
 	return nil, nil
 }
 
+// patterned is n bytes repeating every 256: fine where placement is not
+// under test; frameData is the non-periodic pattern.
 func patterned(n int) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -91,7 +93,7 @@ func TestStreamSegmentBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data := patterned(size)
+			data := frameData(size, size)
 			if err := f.WriteContig(env, 13, data); err != nil {
 				t.Fatalf("n=%d write: %v", size, err)
 			}
@@ -115,7 +117,7 @@ func TestStreamWindowOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := patterned(256*32 + 5)
+	data := frameData(256*32+5, 1)
 	if err := f.WriteContig(env, 0, data); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestStreamListAndDtype(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := patterned(20000)
+	mem := frameData(20000, 2)
 	fileRegions := []Region{{Off: 40, Len: 9000}, {Off: 30000, Len: 11000}}
 	memRegions := []Region{{Off: 0, Len: 20000}}
 	if err := f.WriteList(env, fileRegions, memRegions, mem); err != nil {
@@ -162,7 +164,7 @@ func TestStreamListAndDtype(t *testing.T) {
 	fileTy := datatype.Vector(2000, 1, 2, datatype.Int64) // 16000 data bytes over 32000
 	fileLoop := dataloop.FromType(fileTy)
 	memLoop := dataloop.FromType(datatype.Bytes(16000))
-	dmem := patterned(16000)
+	dmem := frameData(16000, 3)
 	acc := &DtypeAccess{Mem: dmem, MemLoop: memLoop, MemCount: 1, FileLoop: fileLoop}
 	if err := f2.WriteDtype(env, acc); err != nil {
 		t.Fatal(err)
@@ -226,7 +228,7 @@ func TestStreamReadErrorMidStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := patterned(5 * chunk)
+		data := frameData(5*chunk, 4)
 		if err := f.WriteContig(env, 0, data); err != nil {
 			t.Fatal(err)
 		}

@@ -135,7 +135,8 @@ func TestWriteSieveMatchesReference(t *testing.T) {
 // servers on loopback TCP with file-backed objects, and returns two
 // independent clients (separate connections, so the servers handle
 // their requests on separate goroutines) plus the shared disk counters.
-func startTCPFileCluster(t *testing.T, nServers int) (*Client, *Client, *iostats.Stats) {
+// tune (optional) adjusts each server before it starts serving.
+func startTCPFileCluster(t testing.TB, nServers int, tune ...func(*Server)) (*Client, *Client, *iostats.Stats) {
 	t.Helper()
 	net := transport.NewTCPNetwork()
 	env := transport.NewRealEnv()
@@ -173,9 +174,27 @@ func startTCPFileCluster(t *testing.T, nServers int) (*Client, *Client, *iostats
 			mu.Unlock()
 			return st
 		}
+		for _, fn := range tune {
+			fn(s)
+		}
 		servers = append(servers, s)
 		addrs = append(addrs, addr)
 		go s.Serve(env)
+	}
+	// Return only once every I/O server listens: a client's first data
+	// request dials without retrying.
+	for _, addr := range addrs {
+		for i := 0; ; i++ {
+			conn, err := net.Dial(env, addr)
+			if err == nil {
+				conn.Close()
+				break
+			}
+			if i == 400 {
+				t.Fatalf("server %s never came up: %v", addr, err)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 	c1 := NewClient(net, metaAddr, addrs, CostModel{})
 	c2 := NewClient(net, metaAddr, addrs, CostModel{})
@@ -196,7 +215,7 @@ func startTCPFileCluster(t *testing.T, nServers int) (*Client, *Client, *iostats
 }
 
 // createRetry creates a file, retrying while the daemons come up.
-func createRetry(t *testing.T, c *Client, name string, strip int64, nServers int) *File {
+func createRetry(t testing.TB, c *Client, name string, strip int64, nServers int) *File {
 	t.Helper()
 	env := transport.NewRealEnv()
 	var err error
