@@ -26,6 +26,10 @@ go test -race -count 10 -timeout 300s -run '^Test(Cache|Revoke)' ./internal/pvfs
 # they arrive: ten raced repeats of the framing, streaming and scatter
 # tests catch a frame or chunk read after its buffer was refilled.
 go test -race -count 10 -timeout 300s -run '^Test(TCP|Stream|ReadScatter)' ./internal/transport ./internal/pvfs
+# Two-phase rounds reuse each File's region lists, messages and reply
+# buffer across rounds and operations: ten raced repeats of the
+# collective tests catch a buffer refilled while a rank still reads it.
+go test -race -count 10 -timeout 300s -run '^Test(AllMethods|Collective|TwoPhase|Noncontig)' ./internal/mpiio
 # The race detector instruments allocations, so the hot-path and
 # alloc-free bounds are only exact without it.
 go test -count 1 -timeout 120s -run Alloc ./...

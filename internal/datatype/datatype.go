@@ -530,6 +530,16 @@ type Region struct {
 	Len int64
 }
 
+// AppendRegion appends the region [off, off+n) to regs, merging it into
+// the last region when the two are adjacent.
+func AppendRegion(regs []Region, off, n int64) []Region {
+	if k := len(regs); k > 0 && regs[k-1].Off+regs[k-1].Len == off {
+		regs[k-1].Len += n
+		return regs
+	}
+	return append(regs, Region{Off: off, Len: n})
+}
+
 // Flatten materializes the regions of count instances of the type placed
 // at byte origin base, coalescing adjacent regions. Instances are spaced
 // by Extent().
@@ -541,11 +551,7 @@ func (t *Type) Flatten(base int64, count int) []Region {
 			if n == 0 {
 				return true
 			}
-			if len(out) > 0 && out[len(out)-1].Off+out[len(out)-1].Len == off {
-				out[len(out)-1].Len += n
-			} else {
-				out = append(out, Region{off, n})
-			}
+			out = AppendRegion(out, off, n)
 			return true
 		})
 	}

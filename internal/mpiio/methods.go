@@ -188,13 +188,6 @@ func (f *File) listIO(env transport.Env, pos, nbytes int64, buf []byte, memType 
 		memRegs = memRegs[:0]
 		return err
 	}
-	add := func(regs []flatten.Region, off, n int64) []flatten.Region {
-		if k := len(regs); k > 0 && regs[k-1].Off+regs[k-1].Len == off {
-			regs[k-1].Len += n
-			return regs
-		}
-		return append(regs, flatten.Region{Off: off, Len: n})
-	}
 	wouldGrow := func(regs []flatten.Region, off int64) bool {
 		k := len(regs)
 		return k == 0 || regs[k-1].Off+regs[k-1].Len != off
@@ -207,8 +200,8 @@ func (f *File) listIO(env transport.Env, pos, nbytes int64, buf []byte, memType 
 				return err
 			}
 		}
-		fileRegs = add(fileRegs, fo, n)
-		memRegs = add(memRegs, mo, n)
+		fileRegs = datatype.AppendRegion(fileRegs, fo, n)
+		memRegs = datatype.AppendRegion(memRegs, mo, n)
 	}
 	if w.err != nil {
 		return w.err

@@ -124,6 +124,8 @@ type File struct {
 	// buf is the scratch buffer of sieve windows and two-phase rounds
 	// (see scratch).
 	buf []byte
+	// tp holds two-phase's round buffers (see tpBufs).
+	tp tpBufs
 }
 
 // scratch returns an n-byte buffer reused across this File's sieve

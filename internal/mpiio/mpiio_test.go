@@ -344,47 +344,176 @@ func TestAllMethodsReadEquivalence(t *testing.T) {
 	}
 }
 
+// TestNoncontigMemoryAllMethods: memory noncontiguous (FLASH-like:
+// 24 bytes of every 32), three ranks, every method, each under default
+// and small buffers (two-phase then runs several rounds). Reads use views
+// that overlap between ranks; writes use disjoint views that interleave.
+// In both, some piece contiguous in file and memory straddles a
+// two-phase domain boundary, so it splits between two aggregators.
 func TestNoncontigMemoryAllMethods(t *testing.T) {
-	// Memory side noncontiguous (FLASH-like): strided 8-byte elements.
-	const nServers = 3
-	for _, m := range []Method{Posix, Sieve, ListIO, DtypeIO} {
-		m := m
+	const (
+		nProcs  = 3
+		nbytes  = 6144 // per rank
+		imgSize = 20000
+	)
+	memTy := datatype.Vector(256, 3, 4, datatype.Int64)
+	memOff := streamOffsets(memTy, 0, nbytes)
+	cases := []noncontigCase{
+		// 40 bytes of every 48; rank r starts 24r bytes in, so rank 1
+		// overlaps ranks 0 and 2, and rank 2 reads rank 0's blocks.
+		{name: "read", fileTy: datatype.Vector(160, 5, 6, datatype.Int64), disp: func(rank int) int64 { return 16 + 24*int64(rank) }},
+		// 40 bytes of every 120; the ranks' blocks tile [16, ...).
+		{name: "write", write: true, fileTy: datatype.Vector(154, 5, 15, datatype.Int64), disp: func(rank int) int64 { return 16 + 40*int64(rank) }},
+	}
+	for i := range cases {
+		tc := &cases[i]
+		tc.fileOff = make([][]int64, nProcs)
+		for rank := range tc.fileOff {
+			tc.fileOff[rank] = streamOffsets(tc.fileTy, tc.disp(rank), nbytes)
+		}
+		if !straddlesDomain(tc.fileOff, memOff, nProcs) {
+			t.Fatalf("%s: no piece straddles a two-phase domain boundary", tc.name)
+		}
+	}
+	img := make([]byte, imgSize)
+	rand.New(rand.NewSource(3)).Read(img)
+	for _, m := range []Method{Posix, Sieve, TwoPhase, ListIO, DtypeIO} {
 		t.Run(m.String(), func(t *testing.T) {
-			r := newRig(t, nServers, 1)
-			c := r.client()
-			defer c.Close()
-			img := make([]byte, 8192)
-			rand.New(rand.NewSource(3)).Read(img)
-			pf, _ := c.Create(r.env, "m.dat", 256, 0)
-			pf.WriteContig(r.env, 0, img)
-
-			f := Open(pf, nil, m, DefaultHints())
-			fileTy := datatype.Vector(32, 2, 4, datatype.Int32) // 256 data bytes/tile
-			if err := f.SetView(16, datatype.Int32, fileTy); err != nil {
-				t.Fatal(err)
-			}
-			memTy := datatype.Vector(32, 1, 2, datatype.Int64) // 256 bytes, strided
-			buf := make([]byte, memTy.TrueExtent())
-			if err := f.ReadAt(r.env, 0, buf, memTy, 1); err != nil {
-				t.Fatal(err)
-			}
-			// Oracle via manual dual mapping.
-			var fileBytes []byte
-			fileTy.Walk(0, func(off, n int64) bool {
-				fileBytes = append(fileBytes, img[16+off:16+off+n]...)
-				return true
-			})
-			var pos int
-			memTy.Walk(0, func(off, n int64) bool {
-				if !bytes.Equal(buf[off:off+n], fileBytes[pos:pos+int(n)]) {
-					t.Errorf("mismatch at mem offset %d", off)
-					return false
+			for _, tc := range cases {
+				for _, hc := range bufferHints() {
+					t.Run(tc.name+"/"+hc.name, func(t *testing.T) {
+						tc.run(t, m, hc.hints, memTy, memOff, img)
+					})
 				}
-				pos += int(n)
-				return true
-			})
+			}
 		})
 	}
+}
+
+// noncontigCase is one read or write case of
+// TestNoncontigMemoryAllMethods: rank r's view is fileTy at disp(r).
+type noncontigCase struct {
+	name    string
+	write   bool
+	fileTy  *datatype.Type
+	disp    func(rank int) int64
+	fileOff [][]int64 // per rank: the file offset of each stream byte
+}
+
+// run runs the case with method m: every rank accesses its view's
+// stream bytes from the memory bytes memOff of one memTy, and the file
+// starts as img.
+func (tc noncontigCase) run(t *testing.T, m Method, hints Hints, memTy *datatype.Type, memOff []int64, img []byte) {
+	const nServers = 3
+	write, fileOff := tc.write, tc.fileOff
+	r := newRig(t, nServers, len(fileOff))
+	c := r.client()
+	defer c.Close()
+	pf, err := c.Create(r.env, "m.dat", 256, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.WriteContig(r.env, 0, img); err != nil {
+		t.Fatal(err)
+	}
+	r.parallel(func(rank int, comm *mpi.Comm) {
+		cc := r.client()
+		defer cc.Close()
+		pf, err := cc.Open(r.env, "m.dat")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f := Open(pf, comm, m, hints)
+		if err := f.SetView(tc.disp(rank), datatype.Int64, tc.fileTy); err != nil {
+			t.Error(err)
+			return
+		}
+		if write {
+			if err := f.WriteAtAll(r.env, 0, rankData(rank, int(memTy.TrueExtent())), memTy, 1); err != nil {
+				t.Errorf("rank %d: %v", rank, err)
+			}
+			return
+		}
+		buf := bytes.Repeat([]byte{0xFF}, int(memTy.TrueExtent()))
+		if err := f.ReadAtAll(r.env, 0, buf, memTy, 1); err != nil {
+			t.Errorf("rank %d: %v", rank, err)
+			return
+		}
+		// Memory outside the type's blocks stays untouched.
+		want := bytes.Repeat([]byte{0xFF}, len(buf))
+		for k, fo := range fileOff[rank] {
+			want[memOff[k]] = img[fo]
+		}
+		if i := firstDiff(buf, want); i >= 0 {
+			t.Errorf("rank %d: read differs first at memory byte %d", rank, i)
+		}
+	})
+	if t.Failed() || !write {
+		return
+	}
+	want := bytes.Clone(img)
+	for rank, offs := range fileOff {
+		data := rankData(rank, int(memTy.TrueExtent()))
+		for k, fo := range offs {
+			want[fo] = data[memOff[k]]
+		}
+	}
+	got := make([]byte, len(img))
+	if err := pf.ReadContig(r.env, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if i := firstDiff(got, want); i >= 0 {
+		t.Fatalf("file image differs first at byte %d", i)
+	}
+}
+
+// streamOffsets lists the offsets of the first n bytes of the byte
+// stream of type ty tiled from disp, one per byte.
+func streamOffsets(ty *datatype.Type, disp int64, n int) []int64 {
+	out := make([]int64, 0, n)
+	for tile := int64(0); len(out) < n; tile++ {
+		ty.Walk(disp+tile*ty.Extent(), func(off, ln int64) bool {
+			for i := int64(0); i < ln && len(out) < n; i++ {
+				out = append(out, off+i)
+			}
+			return len(out) < n
+		})
+	}
+	return out
+}
+
+// straddlesDomain reports whether two consecutive stream bytes of some
+// rank, adjacent in both file and memory, fall on either side of a
+// boundary between two of the nAgg equal two-phase file domains.
+func straddlesDomain(fileOff [][]int64, memOff []int64, nAgg int) bool {
+	gmin, gmax := fileOff[0][0], int64(0)
+	for _, offs := range fileOff {
+		gmin = min(gmin, offs[0])
+		gmax = max(gmax, offs[len(offs)-1]+1)
+	}
+	dom := (gmax - gmin + int64(nAgg) - 1) / int64(nAgg)
+	for _, offs := range fileOff {
+		for k := 1; k < len(offs); k++ {
+			if offs[k] == offs[k-1]+1 && memOff[k] == memOff[k-1]+1 && (offs[k]-gmin)%dom == 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// firstDiff reports the first index at which a and b differ, or -1.
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	if len(b) > len(a) {
+		return len(a)
+	}
+	return -1
 }
 
 func TestReadAtOffsetInEtypes(t *testing.T) {

@@ -1,9 +1,10 @@
 package mpiio
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"dtio/internal/datatype"
@@ -28,6 +29,11 @@ import (
 // is read-modified-written — legal under MPI-IO consistency semantics
 // without file locks, which is why two-phase writes work on PVFS while
 // data sieving writes do not (paper §4.1).
+//
+// Reads and writes run every round through the same steps (DESIGN.md
+// §18): one roundCursor pass over the access, one region-list message per
+// aggregator, one decodeRound at the aggregator. They differ only in
+// which way the data moves.
 
 // tpPlan is the per-operation collective plan, identical on all ranks.
 type tpPlan struct {
@@ -114,65 +120,152 @@ func (p *tpPlan) aggOf(off int64) int {
 	return a
 }
 
-// tpPiece is one of this rank's sub-pieces within one aggregator's
-// current chunk.
-type tpPiece struct {
-	fileOff int64
-	memOff  int64
-	n       int64
+// roundCursor walks this rank's access for one round and yields, in
+// stream order, each part of a pair piece that falls in some
+// aggregator's chunk of that round. A piece spanning several domains
+// yields one part per aggregator. Like pairWalk it is an iterator, so
+// the per-part body stays inline in the round loop.
+type roundCursor struct {
+	p         *tpPlan
+	r         int
+	w         pairWalk
+	fo, mo, n int64 // the current pair piece
+	a, aLast  int   // the aggregators it spans that are still to clip
+	pairs     int64 // pair pieces walked
+	parts     int64 // parts yielded
 }
 
-// roundPieces walks this rank's access and collects, per aggregator, the
-// pieces falling into that aggregator's round-r chunk.
-func (f *File) roundPieces(p *tpPlan, r int, pos, nbytes int64, memType *datatype.Type, memCount int, buf []byte) ([][]tpPiece, error) {
-	out := make([][]tpPiece, f.comm.Size())
-	w := f.pairs(pos, nbytes, buf, memType, memCount)
-	for fo, mo, n, ok := w.next(); ok; fo, mo, n, ok = w.next() {
-		// A piece may span several aggregators' chunks.
-		aFirst := p.aggOf(fo)
-		aLast := p.aggOf(fo + n - 1)
-		for a := aFirst; a <= aLast; a++ {
-			lo, hi := p.chunk(a, r)
+// next returns the next part: aggregator a, file offset fo, buffer offset
+// mo, length n. ok is false at the end of the access and at a memory
+// piece outside the buffer, which sets w.err.
+func (c *roundCursor) next() (a int, fo, mo, n int64, ok bool) {
+	for {
+		for c.a <= c.aLast {
+			a = c.a
+			c.a++
+			lo, hi := c.p.chunk(a, c.r)
 			if lo == hi {
 				continue
 			}
-			c, ok := flatten.Clip(flatten.Region{Off: fo, Len: n}, lo, hi)
-			if !ok {
+			part, in := flatten.Clip(flatten.Region{Off: c.fo, Len: c.n}, lo, hi)
+			if !in {
 				continue
 			}
-			out[a] = append(out[a], tpPiece{
-				fileOff: c.Off,
-				memOff:  mo + (c.Off - fo),
-				n:       c.Len,
-			})
+			c.parts++
+			return a, part.Off, c.mo + (part.Off - c.fo), part.Len, true
 		}
+		if c.fo, c.mo, c.n, ok = c.w.next(); !ok {
+			return 0, 0, 0, 0, false
+		}
+		c.pairs++
+		c.a, c.aLast = c.p.aggOf(c.fo), c.p.aggOf(c.fo+c.n-1)
 	}
-	if w.err != nil {
-		return nil, w.err
-	}
-	return out, nil
 }
 
-// decodeReq parses a wire region list into (off, len) pairs.
-func decodeReq(b []byte) ([]flatten.Region, error) {
-	if len(b) == 0 {
-		return nil, nil
+// A round message is a region list: a u32 count, each region's file
+// offset and length as two u64s, then, on writes, the regions' bytes in
+// list order. A rank with no part in an aggregator's chunk sends it an
+// empty message.
+
+// encodeRegions appends the region list of regs to dst; no regions encode
+// as nothing.
+func encodeRegions(dst []byte, regs []flatten.Region) []byte {
+	if len(regs) == 0 {
+		return dst
 	}
-	if len(b) < 4 {
-		return nil, fmt.Errorf("mpiio: truncated request list")
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(regs)))
+	for _, reg := range regs {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(reg.Off))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(reg.Len))
 	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if len(b) < 4+16*n {
-		return nil, fmt.Errorf("mpiio: truncated request list (%d entries)", n)
+	return dst
+}
+
+// regionCount reports the regions of a message decodeRound accepted.
+func regionCount(msg []byte) int {
+	if len(msg) == 0 {
+		return 0
 	}
-	out := make([]flatten.Region, n)
-	at := 4
-	for i := range out {
-		out[i].Off = int64(binary.LittleEndian.Uint64(b[at:]))
-		out[i].Len = int64(binary.LittleEndian.Uint64(b[at+8:]))
-		at += 16
+	return int(binary.LittleEndian.Uint32(msg))
+}
+
+// regionAt decodes region i of a message decodeRound accepted.
+func regionAt(msg []byte, i int) flatten.Region {
+	at := 4 + 16*i
+	return flatten.Region{
+		Off: int64(binary.LittleEndian.Uint64(msg[at:])),
+		Len: int64(binary.LittleEndian.Uint64(msg[at+8:])),
 	}
-	return out, nil
+}
+
+// payload returns the data bytes that follow a message's region list.
+func payload(msg []byte) []byte {
+	if len(msg) == 0 {
+		return nil
+	}
+	return msg[4+16*regionCount(msg):]
+}
+
+// decodeRound checks an aggregator's incoming round messages: each
+// region must be non-empty and lie in the aggregator's chunk [clo, chi),
+// and a write's payload must hold exactly its regions' bytes (a read's
+// none). It reports the span [lo, hi) the regions cover (lo < 0 when
+// there are none) and the bytes they request in total.
+func decodeRound(clo, chi int64, incoming [][]byte, write bool) (lo, hi, total int64, err error) {
+	lo, hi = -1, -1
+	for src, msg := range incoming {
+		if len(msg) == 0 {
+			continue
+		}
+		if len(msg) < 4 {
+			return 0, 0, 0, fmt.Errorf("mpiio: truncated region list from rank %d", src)
+		}
+		n := regionCount(msg)
+		if int64(len(msg)) < 4+16*int64(n) {
+			return 0, 0, 0, fmt.Errorf("mpiio: truncated region list from rank %d (%d regions)", src, n)
+		}
+		var sum int64
+		for i := 0; i < n; i++ {
+			reg := regionAt(msg, i)
+			if reg.Len <= 0 || reg.Off < clo || reg.Len > chi-reg.Off {
+				return 0, 0, 0, fmt.Errorf("mpiio: region [%d,+%d) from rank %d outside chunk [%d,%d)", reg.Off, reg.Len, src, clo, chi)
+			}
+			if lo < 0 || reg.Off < lo {
+				lo = reg.Off
+			}
+			hi = max(hi, reg.Off+reg.Len)
+			sum += reg.Len
+		}
+		want := int64(0)
+		if write {
+			want = sum
+		}
+		if got := int64(len(payload(msg))); got != want {
+			return 0, 0, 0, fmt.Errorf("mpiio: payload of %d bytes from rank %d, regions say %d", got, src, want)
+		}
+		total += sum
+	}
+	return lo, hi, total, nil
+}
+
+// tpRun is a stretch of this rank's memory that one round moves to or
+// from aggregator agg: n bytes at memOff, in stream order.
+type tpRun struct {
+	agg       int
+	memOff, n int64
+}
+
+// tpBufs are a File's two-phase buffers, reused by every round and
+// operation. A round is done with all of them before the next begins:
+// the fabric copies what it sends, and the self-message is used up
+// within the round.
+type tpBufs struct {
+	regs  [][]flatten.Region // per aggregator: this rank's round regions, coalesced
+	runs  []tpRun            // this rank's round, in stream order
+	send  [][]byte           // per aggregator: this rank's round message
+	reply []byte             // as aggregator: every requester's read reply, back to back
+	out   [][]byte           // per requester: its reply within reply
+	all   []flatten.Region   // as aggregator: the incoming write regions
 }
 
 // twoPhase runs the collective read or write.
@@ -189,273 +282,152 @@ func (f *File) twoPhase(env transport.Env, pos, nbytes int64, buf []byte, memTyp
 	me := f.comm.Rank()
 	size := f.comm.Size()
 	st := f.stats()
+	tp := &f.tp
+	if len(tp.send) != size {
+		*tp = tpBufs{regs: make([][]flatten.Region, size), send: make([][]byte, size), out: make([][]byte, size)}
+	}
 	for r := 0; r < p.rounds; r++ {
-		var mine [][]tpPiece
-		if !write {
-			var err error
-			mine, err = f.roundPieces(p, r, pos, nbytes, memType, memCount, buf)
-			if err != nil {
-				return err
+		// Phase 1: one pass over the access finds this rank's part of
+		// every aggregator's round-r chunk.
+		for a := range tp.regs {
+			tp.regs[a] = tp.regs[a][:0]
+		}
+		tp.runs = tp.runs[:0]
+		c := roundCursor{p: p, r: r, w: f.pairs(pos, nbytes, buf, memType, memCount), aLast: -1}
+		for a, fo, mo, n, ok := c.next(); ok; a, fo, mo, n, ok = c.next() {
+			tp.regs[a] = datatype.AppendRegion(tp.regs[a], fo, n)
+			if k := len(tp.runs); k > 0 && tp.runs[k-1].agg == a && tp.runs[k-1].memOff+tp.runs[k-1].n == mo {
+				tp.runs[k-1].n += n
+			} else {
+				tp.runs = append(tp.runs, tpRun{agg: a, memOff: mo, n: n})
 			}
-			var pieces int64
-			for a := range mine {
-				pieces += int64(len(mine[a]))
-			}
-			env.Compute(f.pv.Cost().MemcpyPerPiece * time.Duration(pieces))
+		}
+		if c.w.err != nil {
+			return c.w.err
+		}
+		// A write packs by walking its whole access every round, so it
+		// pays per pair piece walked; a read pays per part its reply
+		// scatters.
+		copies := c.parts
+		if write {
+			copies = c.pairs
+		}
+		env.Compute(f.pv.Cost().MemcpyPerPiece * time.Duration(copies))
+		for a, regs := range tp.regs {
+			tp.send[a] = encodeRegions(tp.send[a][:0], regs)
 		}
 		if write {
-			// Phase 1: ship region lists + data to aggregators.
-			send, dataLens, pieces, err := f.buildWriteRound(p, r, pos, nbytes, buf, memType, memCount)
-			if err != nil {
-				return err
+			for _, run := range tp.runs {
+				tp.send[run.agg] = append(tp.send[run.agg], buf[run.memOff:run.memOff+run.n]...)
 			}
-			env.Compute(f.pv.Cost().MemcpyPerPiece * time.Duration(pieces))
-			for a := 0; a < size; a++ {
+			for a, msg := range tp.send {
 				if a != me {
-					st.resent(dataLens[a])
+					st.resent(int64(len(payload(msg))))
 				}
 			}
-			incoming := f.comm.Alltoallv(env, send)
-			// Phase 2: aggregate and write my chunk.
-			if err := f.tpWriteChunk(env, p, r, incoming); err != nil {
+		}
+		incoming := f.comm.Alltoallv(env, tp.send)
+		// Phase 2: the aggregator's one contiguous access.
+		clo, chi := p.chunk(me, r)
+		lo, hi, total, err := decodeRound(clo, chi, incoming, write)
+		if err != nil {
+			return err
+		}
+		if write {
+			if err := f.tpWriteChunk(env, lo, hi, incoming); err != nil {
 				return err
 			}
-		} else {
-			// Phase 1: ship region lists to aggregators (adjacent
-			// pieces coalesce on the wire; reply data order is
-			// unchanged, so the piece-level scatter below still works).
-			send := make([][]byte, size)
-			for a := 0; a < size; a++ {
-				if len(mine[a]) != 0 {
-					send[a] = encodeCoalesced(mine[a])
-				}
+			continue
+		}
+		replies, err := f.tpReadChunk(env, lo, hi, total, incoming, me, st)
+		if err != nil {
+			return err
+		}
+		got := f.comm.Alltoallv(env, replies)
+		for _, run := range tp.runs {
+			data := got[run.agg]
+			if int64(len(data)) < run.n {
+				return fmt.Errorf("mpiio: aggregator %d returned short data", run.agg)
 			}
-			incoming := f.comm.Alltoallv(env, send)
-			// Phase 2: read my chunk and redistribute.
-			replies, err := f.tpReadChunk(env, p, r, incoming, me, st)
-			if err != nil {
-				return err
-			}
-			got := f.comm.Alltoallv(env, replies)
-			// Scatter replies into memory, in the same piece order the
-			// requests were generated.
-			for a := 0; a < size; a++ {
-				data := got[a]
-				var cur int64
-				for _, pc := range mine[a] {
-					if cur+pc.n > int64(len(data)) {
-						return fmt.Errorf("mpiio: aggregator %d returned short data", a)
-					}
-					copy(buf[pc.memOff:pc.memOff+pc.n], data[cur:cur+pc.n])
-					cur += pc.n
-				}
-			}
+			copy(buf[run.memOff:run.memOff+run.n], data)
+			got[run.agg] = data[run.n:]
 		}
 	}
 	return nil
 }
 
-// tpReadChunk reads this aggregator's round chunk (clipped to the bytes
-// actually requested) and extracts each requester's regions.
-func (f *File) tpReadChunk(env transport.Env, p *tpPlan, r int, incoming [][]byte, me int, st *iostatsRef) ([][]byte, error) {
-	reqs := make([][]flatten.Region, len(incoming))
-	lo, hi := int64(-1), int64(-1)
-	for src, msg := range incoming {
-		regs, err := decodeReq(msg)
-		if err != nil {
+// tpReadChunk reads [lo, hi) of this aggregator's round chunk and
+// extracts each requester's regions, in its list order, into one reused
+// reply buffer that total bytes fill.
+func (f *File) tpReadChunk(env transport.Env, lo, hi, total int64, incoming [][]byte, me int, st *iostatsRef) ([][]byte, error) {
+	var cbuf []byte
+	if lo >= 0 {
+		cbuf = f.scratch(hi - lo)
+		if err := f.pv.ReadContig(env, lo, cbuf); err != nil {
 			return nil, err
 		}
-		reqs[src] = regs
-		for _, reg := range regs {
-			if lo < 0 || reg.Off < lo {
-				lo = reg.Off
-			}
-			if reg.Off+reg.Len > hi {
-				hi = reg.Off + reg.Len
-			}
+	}
+	if int64(cap(f.tp.reply)) < total {
+		f.tp.reply = make([]byte, total)
+	}
+	reply := f.tp.reply[:0]
+	for src, msg := range incoming {
+		start := len(reply)
+		for i := 0; i < regionCount(msg); i++ {
+			reg := regionAt(msg, i)
+			reply = append(reply, cbuf[reg.Off-lo:reg.Off-lo+reg.Len]...)
+		}
+		f.tp.out[src] = reply[start:]
+		if n := len(reply) - start; n > 0 && src != me {
+			st.resent(int64(n))
 		}
 	}
-	replies := make([][]byte, len(incoming))
-	if lo < 0 {
-		return replies, nil // nothing requested this round
-	}
-	cbuf := f.scratch(hi - lo)
-	if err := f.pv.ReadContig(env, lo, cbuf); err != nil {
-		return nil, err
-	}
-	for src, regs := range reqs {
-		if len(regs) == 0 {
-			continue
-		}
-		var total int64
-		for _, reg := range regs {
-			total += reg.Len
-		}
-		out := make([]byte, 0, total)
-		for _, reg := range regs {
-			if reg.Off < lo || reg.Off+reg.Len > hi {
-				return nil, fmt.Errorf("mpiio: request outside chunk")
-			}
-			out = append(out, cbuf[reg.Off-lo:reg.Off-lo+reg.Len]...)
-		}
-		replies[src] = out
-		if src != me {
-			st.resent(total)
-		}
-	}
-	return replies, nil
+	return f.tp.out, nil
 }
 
-// tpWriteChunk merges incoming regions+data into this aggregator's round
-// chunk and writes it with one contiguous operation, pre-reading the
-// span first if the incoming regions leave holes.
-func (f *File) tpWriteChunk(env transport.Env, p *tpPlan, r int, incoming [][]byte) error {
-	type srcRegs struct {
-		regs []flatten.Region
-		data []byte
-	}
-	var all []flatten.Region
-	parsed := make([]srcRegs, len(incoming))
-	lo, hi := int64(-1), int64(-1)
-	for src, msg := range incoming {
-		regs, err := decodeReq(msg)
-		if err != nil {
-			return err
-		}
-		if len(regs) == 0 {
-			continue
-		}
-		var total int64
-		for _, reg := range regs {
-			total += reg.Len
-			if lo < 0 || reg.Off < lo {
-				lo = reg.Off
-			}
-			if reg.Off+reg.Len > hi {
-				hi = reg.Off + reg.Len
-			}
-		}
-		dataStart := 4 + 16*len(regs)
-		if int64(len(msg)-dataStart) != total {
-			return fmt.Errorf("mpiio: write payload %d bytes, regions say %d", len(msg)-dataStart, total)
-		}
-		parsed[src] = srcRegs{regs: regs, data: msg[dataStart:]}
-		all = append(all, regs...)
-	}
+// tpWriteChunk merges the incoming regions' data into [lo, hi) of this
+// aggregator's round chunk and writes it with one contiguous operation,
+// pre-reading the span first if the regions leave holes.
+func (f *File) tpWriteChunk(env transport.Env, lo, hi int64, incoming [][]byte) error {
 	if lo < 0 {
 		return nil // nothing to write this round
 	}
-	covered := coveredSpan(all, lo, hi)
+	all := f.tp.all[:0]
+	for _, msg := range incoming {
+		for i := 0; i < regionCount(msg); i++ {
+			all = append(all, regionAt(msg, i))
+		}
+	}
+	f.tp.all = all
 	cbuf := f.scratch(hi - lo)
-	if !covered {
+	if !coveredSpan(all, lo, hi) {
 		// Read-modify-write under MPI-IO semantics (no locks needed).
 		if err := f.pv.ReadContig(env, lo, cbuf); err != nil {
 			return err
 		}
 	}
 	// Apply in source order for determinism.
-	for _, sr := range parsed {
-		var cur int64
-		for _, reg := range sr.regs {
-			if reg.Off < lo || reg.Off+reg.Len > hi {
-				return fmt.Errorf("mpiio: write region outside chunk")
-			}
-			copy(cbuf[reg.Off-lo:reg.Off-lo+reg.Len], sr.data[cur:cur+reg.Len])
-			cur += reg.Len
+	for _, msg := range incoming {
+		data := payload(msg)
+		for i := 0; i < regionCount(msg); i++ {
+			reg := regionAt(msg, i)
+			copy(cbuf[reg.Off-lo:], data[:reg.Len])
+			data = data[reg.Len:]
 		}
 	}
 	return f.pv.WriteContig(env, lo, cbuf)
 }
 
-// coveredSpan reports whether the union of regions covers [lo, hi).
+// coveredSpan reports whether the union of regs covers [lo, hi). It
+// sorts regs in place.
 func coveredSpan(regs []flatten.Region, lo, hi int64) bool {
-	if len(regs) == 0 {
-		return false
-	}
-	sorted := make([]flatten.Region, len(regs))
-	copy(sorted, regs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Off < sorted[j].Off })
+	slices.SortFunc(regs, func(x, y flatten.Region) int { return cmp.Compare(x.Off, y.Off) })
 	at := lo
-	for _, reg := range sorted {
+	for _, reg := range regs {
 		if reg.Off > at {
 			return false
 		}
-		if end := reg.Off + reg.Len; end > at {
-			at = end
-		}
+		at = max(at, reg.Off+reg.Len)
 	}
 	return at >= hi
-}
-
-// encodeCoalesced serializes the (fileOff, n) list of pieces, merging
-// file-adjacent neighbors.
-func encodeCoalesced(pieces []tpPiece) []byte {
-	regs := make([]flatten.Region, 0, 16)
-	for _, pc := range pieces {
-		if k := len(regs); k > 0 && regs[k-1].Off+regs[k-1].Len == pc.fileOff {
-			regs[k-1].Len += pc.n
-			continue
-		}
-		regs = append(regs, flatten.Region{Off: pc.fileOff, Len: pc.n})
-	}
-	out := make([]byte, 0, 4+16*len(regs))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(regs)))
-	for _, reg := range regs {
-		out = binary.LittleEndian.AppendUint64(out, uint64(reg.Off))
-		out = binary.LittleEndian.AppendUint64(out, uint64(reg.Len))
-	}
-	return out
-}
-
-// buildWriteRound streams this rank's access once, producing for each
-// aggregator the round-r message: a coalesced region list followed by the
-// data bytes in stream order. Nothing piece-granular is materialized, so
-// fine-grained patterns (FLASH: single-element memory pieces) stay cheap.
-func (f *File) buildWriteRound(p *tpPlan, r int, pos, nbytes int64, buf []byte, memType *datatype.Type, memCount int) (send [][]byte, dataLens []int64, pieces int64, err error) {
-	size := f.comm.Size()
-	regs := make([][]flatten.Region, size)
-	data := make([][]byte, size)
-	w := f.pairs(pos, nbytes, buf, memType, memCount)
-	for fo, mo, n, ok := w.next(); ok; fo, mo, n, ok = w.next() {
-		pieces++
-		aFirst := p.aggOf(fo)
-		aLast := p.aggOf(fo + n - 1)
-		for a := aFirst; a <= aLast; a++ {
-			lo, hi := p.chunk(a, r)
-			if lo == hi {
-				continue
-			}
-			c, ok := flatten.Clip(flatten.Region{Off: fo, Len: n}, lo, hi)
-			if !ok {
-				continue
-			}
-			if k := len(regs[a]); k > 0 && regs[a][k-1].Off+regs[a][k-1].Len == c.Off {
-				regs[a][k-1].Len += c.Len
-			} else {
-				regs[a] = append(regs[a], c)
-			}
-			m := mo + (c.Off - fo)
-			data[a] = append(data[a], buf[m:m+c.Len]...)
-		}
-	}
-	if w.err != nil {
-		return nil, nil, 0, w.err
-	}
-	send = make([][]byte, size)
-	dataLens = make([]int64, size)
-	for a := 0; a < size; a++ {
-		if len(regs[a]) == 0 {
-			continue
-		}
-		msg := make([]byte, 0, 4+16*len(regs[a])+len(data[a]))
-		msg = binary.LittleEndian.AppendUint32(msg, uint32(len(regs[a])))
-		for _, reg := range regs[a] {
-			msg = binary.LittleEndian.AppendUint64(msg, uint64(reg.Off))
-			msg = binary.LittleEndian.AppendUint64(msg, uint64(reg.Len))
-		}
-		msg = append(msg, data[a]...)
-		send[a] = msg
-		dataLens[a] = int64(len(data[a]))
-	}
-	return send, dataLens, pieces, nil
 }

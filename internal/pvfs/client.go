@@ -1544,14 +1544,8 @@ func (f *File) splitRegions(fileRegions []flatten.Region) [][]flatten.Region {
 	out := make([][]flatten.Region, f.layout.NServers)
 	for _, reg := range fileRegions {
 		f.layout.Split(reg.Off, reg.Len, func(p striping.Piece) bool {
-			l := out[p.Server]
 			// Merge adjacent logical pieces on the same server.
-			if k := len(l); k > 0 && l[k-1].Off+l[k-1].Len == p.Logical {
-				l[k-1].Len += p.Len
-			} else {
-				l = append(l, flatten.Region{Off: p.Logical, Len: p.Len})
-			}
-			out[p.Server] = l
+			out[p.Server] = datatype.AppendRegion(out[p.Server], p.Logical, p.Len)
 			return true
 		})
 	}
@@ -1604,16 +1598,8 @@ func splitListBatches(fileRegions, memRegions []flatten.Region) (fb, mb [][]flat
 		if len(curF) >= wire.MaxListRegions || len(curM) >= wire.MaxListRegions {
 			flush()
 		}
-		if k := len(curF); k > 0 && curF[k-1].Off+curF[k-1].Len == fo {
-			curF[k-1].Len += n
-		} else {
-			curF = append(curF, flatten.Region{Off: fo, Len: n})
-		}
-		if k := len(curM); k > 0 && curM[k-1].Off+curM[k-1].Len == mo {
-			curM[k-1].Len += n
-		} else {
-			curM = append(curM, flatten.Region{Off: mo, Len: n})
-		}
+		curF = datatype.AppendRegion(curF, fo, n)
+		curM = datatype.AppendRegion(curM, mo, n)
 	}
 	flush()
 	return fb, mb

@@ -100,7 +100,25 @@ type diskSched struct {
 	ops    []diskOp  // dispatched operations; first/count index sorted
 	segs   []segPlan // per-segment plans of a streamed read
 	iov    [][]byte  // scatter-gather list reused across vectored ops
+	byOff  spanOrder // the batch planBatch sorts
 }
+
+// spanOrder orders a batch's runs by offset, then stream position.
+// planBatch sorts it through a diskSched field, so sorting allocates
+// nothing.
+type spanOrder []ioSpan
+
+func (o *spanOrder) Len() int { return len(*o) }
+
+func (o *spanOrder) Less(i, j int) bool {
+	b := *o
+	if b[i].off != b[j].off {
+		return b[i].off < b[j].off
+	}
+	return b[i].pos < b[j].pos
+}
+
+func (o *spanOrder) Swap(i, j int) { b := *o; b[i], b[j] = b[j], b[i] }
 
 // schedPool recycles schedulers (and their slices) across requests so
 // the read/write hot paths stay allocation-free in steady state.
@@ -187,12 +205,8 @@ func (d *diskSched) planBatch(batch []ioSpan) segPlan {
 	from := len(d.sorted)
 	d.sorted = append(d.sorted, batch...)
 	b := d.sorted[from:]
-	sort.Slice(b, func(i, j int) bool {
-		if b[i].off != b[j].off {
-			return b[i].off < b[j].off
-		}
-		return b[i].pos < b[j].pos
-	})
+	d.byOff = b
+	sort.Sort(&d.byOff)
 	sieve := d.sieve
 	if d.write && writeOverlap(b) {
 		copy(b, batch)

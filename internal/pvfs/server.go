@@ -682,8 +682,8 @@ func (s *Server) handle(env transport.Env, conn transport.Conn, msg []byte) ([]b
 		return ioErr("bad request: %v", err), nil
 	}
 	env.Compute(s.cost.RequestOverhead)
-	// t.String() is a map lookup of an interned name: no allocation
-	// when only Metrics is enabled.
+	// t.String() indexes a static name table: no allocation when only
+	// Metrics is enabled.
 	sp := s.Tracer.Begin(env, s.spanTrack, t.String(), trace.SpanID(tagOf(v).Span))
 	resp, flags, err := s.dispatch(env, conn, t, v, sp)
 	svc := env.Now() - start

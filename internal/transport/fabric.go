@@ -13,7 +13,8 @@ import (
 // source (the collectives in internal/mpi are written for this
 // discipline, as are most MPI programs in practice).
 type Fabric interface {
-	// Send delivers data from rank src to rank dst with a tag.
+	// Send delivers data from rank src to rank dst with a tag. It does
+	// not keep data after it returns: callers reuse their send buffers.
 	Send(env Env, src, dst, tag int, data []byte)
 	// Recv returns the next message from src addressed to dst.
 	Recv(env Env, dst, src int) (tag int, data []byte)

@@ -314,25 +314,30 @@ func TestSimFabricLocalVsRemote(t *testing.T) {
 	var localT, remoteT time.Duration
 	net.Spawn("rank0", n0, func(env Env) {
 		defer wg.Done()
+		// One buffer for both sends: Send keeps none of it.
+		buf := make([]byte, 1<<20)
+		buf[0] = 7
 		start := env.Now()
-		fab.Send(env, 0, 1, 7, make([]byte, 1<<20))
+		fab.Send(env, 0, 1, 7, buf)
 		localT = env.Now() - start
+		buf[0] = 8
 		start = env.Now()
-		fab.Send(env, 0, 2, 8, make([]byte, 1<<20))
+		fab.Send(env, 0, 2, 8, buf)
 		remoteT = env.Now() - start
+		buf[0] = 0
 	})
 	net.Spawn("rank1", n0, func(env Env) {
 		defer wg.Done()
 		tag, data := fab.Recv(env, 1, 0)
-		if tag != 7 || len(data) != 1<<20 {
-			t.Errorf("tag=%d len=%d", tag, len(data))
+		if tag != 7 || len(data) != 1<<20 || data[0] != 7 {
+			t.Errorf("tag=%d len=%d data[0]=%d", tag, len(data), data[0])
 		}
 	})
 	net.Spawn("rank2", n1, func(env Env) {
 		defer wg.Done()
 		tag, data := fab.Recv(env, 2, 0)
-		if tag != 8 || len(data) != 1<<20 {
-			t.Errorf("tag=%d len=%d", tag, len(data))
+		if tag != 8 || len(data) != 1<<20 || data[0] != 8 {
+			t.Errorf("tag=%d len=%d data[0]=%d", tag, len(data), data[0])
 		}
 	})
 	net.Spawn("ctl", n0, func(env Env) {
@@ -350,8 +355,10 @@ func TestSimFabricLocalVsRemote(t *testing.T) {
 func TestMemFabricOrder(t *testing.T) {
 	fab := NewMemFabric(2)
 	env := NewRealEnv()
+	buf := make([]byte, 1) // reused: Send keeps none of it
 	for i := 0; i < 10; i++ {
-		fab.Send(env, 0, 1, i, []byte{byte(i)})
+		buf[0] = byte(i)
+		fab.Send(env, 0, 1, i, buf)
 	}
 	for i := 0; i < 10; i++ {
 		tag, data := fab.Recv(env, 1, 0)

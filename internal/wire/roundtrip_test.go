@@ -167,8 +167,19 @@ func TestRoundTripEveryMessage(t *testing.T) {
 		if !covered[typ] {
 			t.Errorf("message type %s has no round-trip case", typ)
 		}
+		if name := typ.String(); name == fmt.Sprintf("msgtype(%d)", uint8(typ)) {
+			t.Errorf("message type %d has no name", uint8(typ))
+		}
+	}
+	// The server names every request it traces and counts.
+	if n := testing.AllocsPerRun(100, func() { msgName = MTReadContigReq.String() }); n != 0 {
+		t.Errorf("MsgType.String allocates %.0f times, want 0", n)
 	}
 }
+
+// msgName keeps the String call under AllocsPerRun from being optimized
+// away.
+var msgName string
 
 // TestRoundTripQuick drives every parameterized message with randomized
 // field values via testing/quick.

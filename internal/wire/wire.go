@@ -88,26 +88,29 @@ const (
 	MTReplicaSumResp
 )
 
+// msgTypeNames names each message type; String indexes it, so naming a
+// request allocates nothing.
+var msgTypeNames = [...]string{
+	MTCreateReq: "create", MTOpenReq: "open", MTRemoveReq: "remove",
+	MTListReq: "list", MTMetaResp: "metaresp", MTListResp: "listresp",
+	MTReadContigReq: "readcontig", MTWriteContigReq: "writecontig",
+	MTReadListReq: "readlist", MTWriteListReq: "writelist",
+	MTReadDtypeReq: "readdtype", MTWriteDtypeReq: "writedtype",
+	MTLocalSizeReq: "localsize", MTTruncateReq: "truncate",
+	MTRemoveObjReq: "removeobj", MTIOResp: "ioresp",
+	MTReadStreamHdr: "readstreamhdr", MTWriteStreamHdr: "writestreamhdr",
+	MTStreamChunk: "streamchunk", MTStreamAck: "streamack",
+	MTLockAcquireReq: "lockacquire", MTLockReleaseReq: "lockrelease",
+	MTLockGrant: "lockgrant", MTAdminReq: "admin",
+	MTLeaseRevoke: "leaserevoke", MTMetaStatsReq: "metastats",
+	MTReplicaListReq: "replicalist", MTReplicaListResp: "replicalistresp",
+	MTReplicaFetchReq: "replicafetch", MTReplicaSumReq: "replicasum",
+	MTReplicaSumResp: "replicasumresp",
+}
+
 func (t MsgType) String() string {
-	names := map[MsgType]string{
-		MTCreateReq: "create", MTOpenReq: "open", MTRemoveReq: "remove",
-		MTListReq: "list", MTMetaResp: "metaresp", MTListResp: "listresp",
-		MTReadContigReq: "readcontig", MTWriteContigReq: "writecontig",
-		MTReadListReq: "readlist", MTWriteListReq: "writelist",
-		MTReadDtypeReq: "readdtype", MTWriteDtypeReq: "writedtype",
-		MTLocalSizeReq: "localsize", MTTruncateReq: "truncate",
-		MTRemoveObjReq: "removeobj", MTIOResp: "ioresp",
-		MTReadStreamHdr: "readstreamhdr", MTWriteStreamHdr: "writestreamhdr",
-		MTStreamChunk: "streamchunk", MTStreamAck: "streamack",
-		MTLockAcquireReq: "lockacquire", MTLockReleaseReq: "lockrelease",
-		MTLockGrant: "lockgrant", MTAdminReq: "admin",
-		MTLeaseRevoke: "leaserevoke", MTMetaStatsReq: "metastats",
-		MTReplicaListReq: "replicalist", MTReplicaListResp: "replicalistresp",
-		MTReplicaFetchReq: "replicafetch", MTReplicaSumReq: "replicasum",
-		MTReplicaSumResp: "replicasumresp",
-	}
-	if s, ok := names[t]; ok {
-		return s
+	if int(t) < len(msgTypeNames) && msgTypeNames[t] != "" {
+		return msgTypeNames[t]
 	}
 	return fmt.Sprintf("msgtype(%d)", uint8(t))
 }
